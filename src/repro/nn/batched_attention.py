@@ -4,31 +4,55 @@ The looped decode path issues ``B × n_layers`` separate single-row
 ``run_layer`` calls per mixed step — dozens of tiny NumPy ops per
 sequence per layer, which leaves the interpreter, not BLAS, as the
 bottleneck (PAPER.md §IV's accelerator wins precisely because it feeds
-wide batched Q·K·V units).  :class:`PackedDecodeBackend` restructures
-one decode step so that everything that *can* run as a single
-batch-level BLAS call does:
+wide batched Q·K·V units).  :meth:`PackedDecodeBackend.decode_step`
+restructures one whole decode step — embedding gather, attention,
+residual + LayerNorm, FFN, LM head — so that everything that *can* run
+as a single batch-level BLAS call does:
 
-* **fused Q/K/V projection** — one ``[B, 1, d] @ [d, 3d]`` matmul per
+* **fused Q/K/V projection** — one ``[B, d] @ [d, 3d]`` product per
   layer replaces ``3B`` single-row GEMMs;
-* **central dense attention core** — scores, the length-masked softmax,
-  and A·V run over zero-copy views of each sequence's preallocated KV
-  buffers (:class:`~repro.nn.kv_cache.LayerKVCache`), with the
-  elementwise softmax stages (max, shift, exp, normalize) batched
-  across sequences in a reusable padded scratch tensor;
-* **fused output FC** — one ``[B, 1, h·D] @ [d, d]`` matmul replaces
+* **central dense attention core** — the backend appends every dense
+  sequence's new K/V column to its
+  :class:`~repro.nn.kv_cache.LayerKVCache` and runs scores, the masked
+  softmax, and A·V for all of them at once;
+* **fused output FC** — one ``[B, h·D] @ [d, d]`` product replaces
   ``B`` per-sequence projections;
 * **fused chunk projection** — during chunked prefill, the Q/K/V
   projections of every in-flight prompt's chunk run as one GEMM over
   the concatenated rows.
 
-Bit-identity contract
----------------------
+One stack, three tier-selected points
+-------------------------------------
 
-The packed path must produce logits **bit-identical** to the looped
-oracle (``tests/test_packed_decode.py`` enforces this property across
-executors, ragged lengths, pruned-head sets, and mid-generation
-evictions).  That constraint dictates the design, because BLAS
-reductions are not grouping-invariant:
+Rows are grouped by
+:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
+once per step: dense caches run the central core above; SpAtten
+executors (``"custom"``) run their own per-sequence core (cascade
+pruning decisions, progressive quantization, trace accounting) on
+backend-supplied projections; anything else (``"none"``) falls back to
+an fp64 ``run_layer`` row.  That dispatch, the central KV append, and
+the :class:`~repro.telemetry.HotPathProfiler` stops are written once
+for every :class:`~repro.nn.numerics.NumericsPolicy` tier.  The
+policy's ``is_exact`` flag picks between two implementations at
+exactly three points:
+
+1. **QKV / output GEMM kernel** — the ``[B, 1, d]`` gufunc (exact) or
+   one 2-D GEMM (cast tiers);
+2. **attention core** — :meth:`PackedDecodeBackend._dense_core` over
+   exact-length cache views, or
+   :meth:`PackedDecodeBackend._dense_core_policy` over a padded arena;
+3. **LN / FFN / LM-head math** — :func:`repro.nn.functional.layer_norm`
+   and the model's FFN over the fp64 weights, or the in-place
+   compute-dtype versions over weights cast once at construction.
+
+Exact tier: bit-identity contract
+---------------------------------
+
+Under ``exact`` the packed step must produce logits **bit-identical**
+to the looped oracle (``tests/test_packed_decode.py`` enforces this
+property across executors, ragged lengths, pruned-head sets, and
+mid-generation evictions).  That constraint dictates the design,
+because BLAS reductions are not grouping-invariant:
 
 * multi-slice ``np.matmul`` (the gufunc) computes each 2-D slice with
   the same kernel as a standalone single-row matmul, so batching the
@@ -48,44 +72,26 @@ reductions are not grouping-invariant:
   *denominator* (a length-sensitive pairwise sum) reduces per sequence
   over exact-length views.
 
-Executors opt in through
-:attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`:
-dense caches run the central core above; SpAtten executors run their
-own per-sequence core (cascade pruning decisions, progressive
-quantization, trace accounting) on backend-supplied projections, with
-per-sequence surviving-head sets honored by gathering live-head slices
-from the full-width rows; anything else falls back to ``run_layer``
-with unchanged semantics.
+Cast tiers (fp32 / int8)
+------------------------
 
-Numerics-policy fast path
--------------------------
-
-Under a non-exact :class:`~repro.nn.numerics.NumericsPolicy` the
-bit-identity constraint is *traded away* for a declared accuracy
-budget, which unlocks the padded-pack design the contract above
-forbids.  :meth:`PackedDecodeBackend.decode_step_policy` then runs the
-whole decode step in the policy's compute dtype (fp32):
+A non-exact policy trades bit identity for a declared accuracy budget,
+which unlocks the padded-pack design the contract above forbids:
 
 * every dense sequence's K/V live in a persistent per-layer **arena**
-  — ``[S, h, cap, D]`` fp32 planes in batch-row order — so the score
-  and A·V stages run as *one* batched ``[B, h, 1, max_len]`` gufunc
-  matmul each, with a masked softmax batched over the padded scratch
-  (padding columns are masked to ``-1e30`` and underflow to exact 0);
+  — ``[S, h, cap, D]`` compute-dtype planes in batch-row order — so
+  the score and A·V stages run as *one* batched ``[B, h, 1, max_len]``
+  gufunc matmul each, with a masked softmax batched over the padded
+  scratch (padding columns are masked to ``-1e30`` and underflow to
+  exact 0);
 * arena rows sync incrementally: an unchanged
   :attr:`~repro.nn.kv_cache.LayerKVCache.version` plus one new column
   means an O(h·D) tail write; eviction, preemption, or batch-order
   churn trigger an O(L) rebuild from the cache (dequantizing int8
   codes through their per-row scales);
-* LayerNorm, the tanh/gelu FFN, and the LM head run vectorized in
-  fp32 over weight copies cast once at backend construction;
-* the ``int8`` tier additionally rounds the decode-step Q rows through
-  the int8 grid (:func:`repro.core.quantization.quantize_rows`), so
-  score GEMMs see int8-quantized operands with fp32 accumulation, and
-  quantizes each step's *batch* of new K/V columns in one call before
-  handing each cache its pre-quantized slice.
-
-The ``exact`` policy never touches any of this: every pre-existing
-code path runs verbatim and stays bit-identical to the looped oracle.
+* the ``int8`` tier quantizes each step's *batch* of new K/V columns in
+  one fused pass before handing each cache its pre-quantized slice, so
+  score GEMMs read dequantized int8 operands with fp32 accumulation.
 """
 
 from __future__ import annotations
@@ -95,6 +101,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .attention import split_heads
+from .functional import layer_norm
 from .numerics import resolve_numerics
 from .transformer import AttentionExecutor, TransformerModel
 
@@ -142,12 +149,13 @@ def _policy_layer_norm(
     return centered
 
 
-class _PolicyWeights:
-    """Model weights cast once into a policy's compute dtype.
+class _DecodeWeights:
+    """Model weights in a policy's compute dtype.
 
-    Holding the cast copies on the backend makes every policy decode
-    step allocation-free on the weight side; the fp64 originals stay
-    untouched for the exact paths (prefill projections included).
+    Built with ``astype(ct, copy=False)``: the exact tier holds the
+    fp64 originals themselves (no copy), the cast tiers hold copies
+    cast once at backend construction, so every decode step is
+    allocation-free on the weight side.
     """
 
     __slots__ = (
@@ -155,34 +163,41 @@ class _PolicyWeights:
         "ln1_g", "ln1_b", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2",
     )
 
-    def __init__(self, model, wqkv, bqkv, compute_dtype):
-        ct = compute_dtype
+    def __init__(self, model, wqkv, bqkv, policy):
+        ct = policy.compute_dtype
         params = model.params
-        self.tok_emb = params.token_embedding.astype(ct)
-        self.pos_emb = params.pos_embedding.astype(ct)
-        self.lm_proj = np.ascontiguousarray(params.lm_projection()).astype(ct)
-        self.wqkv = [w.astype(ct) for w in wqkv]
-        self.bqkv = [b.astype(ct) for b in bqkv]
+        self.tok_emb = params.token_embedding.astype(ct, copy=False)
+        self.pos_emb = params.pos_embedding.astype(ct, copy=False)
+        lm_proj = params.lm_projection()
+        # Exact multiplies the very operand the looped oracle's LM head
+        # does (GEMV kernels differ by operand layout); the cast tiers
+        # take a C-contiguous copy.
+        self.lm_proj = (
+            lm_proj.astype(ct, copy=False) if policy.is_exact
+            else np.ascontiguousarray(lm_proj, dtype=ct)
+        )
+        self.wqkv = [w.astype(ct, copy=False) for w in wqkv]
+        self.bqkv = [b.astype(ct, copy=False) for b in bqkv]
         self.wo, self.bo = [], []
         self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = [], [], [], []
         self.w1, self.b1, self.w2, self.b2 = [], [], [], []
         for layer_idx in range(model.config.n_layers):
             bp = model.block(layer_idx)
             aw = model.attention(layer_idx).weights
-            self.wo.append(aw.wo.astype(ct))
-            self.bo.append(aw.bo.astype(ct))
-            self.ln1_g.append(bp.ln1_gamma.astype(ct))
-            self.ln1_b.append(bp.ln1_beta.astype(ct))
-            self.ln2_g.append(bp.ln2_gamma.astype(ct))
-            self.ln2_b.append(bp.ln2_beta.astype(ct))
-            self.w1.append(bp.ffn_w1.astype(ct))
-            self.b1.append(bp.ffn_b1.astype(ct))
-            self.w2.append(bp.ffn_w2.astype(ct))
-            self.b2.append(bp.ffn_b2.astype(ct))
+            self.wo.append(aw.wo.astype(ct, copy=False))
+            self.bo.append(aw.bo.astype(ct, copy=False))
+            self.ln1_g.append(bp.ln1_gamma.astype(ct, copy=False))
+            self.ln1_b.append(bp.ln1_beta.astype(ct, copy=False))
+            self.ln2_g.append(bp.ln2_gamma.astype(ct, copy=False))
+            self.ln2_b.append(bp.ln2_beta.astype(ct, copy=False))
+            self.w1.append(bp.ffn_w1.astype(ct, copy=False))
+            self.b1.append(bp.ffn_b1.astype(ct, copy=False))
+            self.w2.append(bp.ffn_w2.astype(ct, copy=False))
+            self.b2.append(bp.ffn_b2.astype(ct, copy=False))
 
 
 class _ArenaPlane:
-    """One layer's persistent padded KV arena (policy fast path).
+    """One layer's persistent padded KV arena (cast tiers).
 
     ``k`` is a ``[S, h, D, cap]`` and ``v`` a ``[S, h, cap, D]``
     compute-dtype plane holding the dequantized KV columns of up to
@@ -211,9 +226,10 @@ class PackedDecodeBackend:
     once and passes it to every
     :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch` /
     :meth:`~repro.nn.transformer.TransformerModel.prefill_chunk_batch`
-    call.  The backend holds the fused per-layer projection weights and
-    reusable scratch tensors (scores, denominators, head outputs), which
-    grow page-aligned with the live batch instead of being rebuilt every
+    call.  The backend holds the fused per-layer projection weights, the
+    decode weights in the policy's compute dtype, and reusable scratch
+    tensors (scores, head outputs, arena planes), which grow
+    page-aligned with the live batch instead of being rebuilt every
     step.
     """
 
@@ -228,43 +244,40 @@ class PackedDecodeBackend:
         self._model = model
         self._scratch_page = scratch_page_tokens
         #: The numerics ladder tier this backend runs decode steps at;
-        #: ``exact`` (the default) leaves every code path bit-identical.
+        #: ``exact`` (the default) stays bit-identical to the looped path.
         self.policy = resolve_numerics(numerics)
+        ct = self.policy.compute_dtype
         cfg = model.config
-        d = cfg.d_model
+        d, n_heads, head_dim = cfg.d_model, cfg.n_heads, cfg.head_dim
         # Fused [d, 3d] QKV weights: output column blocks of a GEMM are
         # independent, so (x @ wqkv)[:, :d] is bit-identical to x @ wq.
+        # Prefill projects through these fp64 originals on every tier.
         self._wqkv: List[np.ndarray] = []
         self._bqkv: List[np.ndarray] = []
         for layer_idx in range(cfg.n_layers):
             w = model.attention(layer_idx).weights
             self._wqkv.append(np.concatenate([w.wq, w.wk, w.wv], axis=1))
             self._bqkv.append(np.concatenate([w.bq, w.bk, w.bv]))
+        self._weights = _DecodeWeights(model, self._wqkv, self._bqkv, self.policy)
+        self._inv_sqrt_d = 1.0 / float(np.sqrt(head_dim))
         # Reusable scratch, grown on demand.
-        self._scores = np.zeros((0, cfg.n_heads, 1, 0))
-        self._denom = np.zeros((0, cfg.n_heads, 1, 1))
-        self._head_out = np.zeros((0, cfg.n_heads, 1, cfg.head_dim))
-        self._merged = np.zeros((0, 1, d))
-        # Policy fast-path state (unused — and unallocated — for exact).
-        self._cast: Optional[_PolicyWeights] = None
-        self._planes: List[Optional[_ArenaPlane]] = []
-        self._p_scores = None
-        self._p_merged = None
-        if not self.policy.is_exact:
-            ct = self.policy.compute_dtype
-            self._cast = _PolicyWeights(model, self._wqkv, self._bqkv, ct)
-            self._planes = [None] * cfg.n_layers
-            self._p_scores = np.zeros((0, cfg.n_heads, 1, 0), dtype=ct)
-            self._p_merged = np.zeros((0, 1, d), dtype=ct)
-            self._p_qpack = np.zeros((0, cfg.n_heads, 1, cfg.head_dim), dtype=ct)
-            self._p_kvrows = np.zeros((0, cfg.n_heads, cfg.head_dim), dtype=ct)
-            self._p_qcodes_f = np.zeros((0, cfg.n_heads, cfg.head_dim), dtype=ct)
-            self._p_qscales = np.zeros((0, cfg.n_heads, 1), dtype=np.float32)
-            self._p_qcodes = np.zeros((0, cfg.n_heads, cfg.head_dim), dtype=np.int8)
-            d_ff = self._cast.w1[0].shape[1]
-            self._p_ffn_h = np.zeros((0, d_ff), dtype=ct)
-            self._p_ffn_i = np.zeros((0, d_ff), dtype=ct)
-            self._inv_sqrt_d = 1.0 / float(np.sqrt(cfg.head_dim))
+        self._scores = np.zeros((0, n_heads, 1, 0), dtype=ct)
+        self._planes: List[Optional[_ArenaPlane]] = [None] * cfg.n_layers
+        d_ff = self._weights.w1[0].shape[1]
+        per_head = (n_heads, head_dim)
+        self._row_scratch: Dict[str, np.ndarray] = {
+            "merged": np.zeros((0, d), dtype=ct),
+            "denom": np.zeros((0, n_heads, 1, 1), dtype=ct),
+            "head_out": np.zeros((0, n_heads, 1, head_dim), dtype=ct),
+            "q_pack": np.zeros((0, n_heads, 1, head_dim), dtype=ct),
+            # int8 tier: KV staging rows, float codes, scales, codes.
+            "kv_rows": np.zeros((0,) + per_head, dtype=ct),
+            "codes_f": np.zeros((0,) + per_head, dtype=ct),
+            "scales": np.zeros((0, n_heads, 1), dtype=np.float32),
+            "codes": np.zeros((0,) + per_head, dtype=np.int8),
+            "ffn_hidden": np.zeros((0, d_ff), dtype=ct),
+            "ffn_inner": np.zeros((0, d_ff), dtype=ct),
+        }
         #: Optional :class:`repro.telemetry.HotPathProfiler` measuring
         #: real wall-clock time per stage (the serving engine attaches
         #: it when profiling is requested).  ``None`` costs one ``is
@@ -279,226 +292,33 @@ class PackedDecodeBackend:
         if self._scores.shape[0] < n or self._scores.shape[3] < max_len:
             pages = -(-max_len // self._scratch_page)
             cap = max(pages * self._scratch_page, self._scores.shape[3])
-            self._scores = np.zeros((max(n, self._scores.shape[0]), h, 1, cap))
+            self._scores = np.zeros(
+                (max(n, self._scores.shape[0]), h, 1, cap),
+                dtype=self.policy.compute_dtype,
+            )
         return self._scores[:n, :, :, :max_len]
 
-    def _batch_scratch(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        cfg = self._model.config
-        if self._denom.shape[0] < n:
-            self._denom = np.zeros((n, cfg.n_heads, 1, 1))
-            self._head_out = np.zeros((n, cfg.n_heads, 1, cfg.head_dim))
-        return self._denom[:n], self._head_out[:n]
+    def _rows(self, name: str, n: int) -> np.ndarray:
+        """The first ``n`` rows of persistent scratch ``name``.
 
-    def _merged_scratch(self, batch: int) -> np.ndarray:
-        d = self._model.config.d_model
-        if self._merged.shape[0] < batch:
-            self._merged = np.zeros((batch, 1, d))
-        return self._merged[:batch]
-
-    # ------------------------------------------------------------------
-    # Decode
-    # ------------------------------------------------------------------
-    def decode_layer(
-        self,
-        model: TransformerModel,
-        layer_idx: int,
-        x: np.ndarray,
-        positions: np.ndarray,
-        executors: Sequence[AttentionExecutor],
-    ) -> np.ndarray:
-        """Packed attention of one block over a decode batch.
-
-        Returns ``attn_out [B, d_model]``, bit-identical to
-        concatenating the looped per-sequence ``run_layer`` outputs.
+        Buffers grow on demand along their leading axis; growth drops
+        old content, which no caller depends on.  One set serves every
+        layer of every step allocation-free.
         """
-        if model is not self._model:
-            raise ValueError(
-                "PackedDecodeBackend is bound to a different model; create "
-                "one backend per TransformerModel"
-            )
-        cfg = model.config
-        d, n_heads, head_dim = cfg.d_model, cfg.n_heads, cfg.head_dim
-        batch = len(executors)
-
-        # Fused batched QKV projection.  The gufunc computes each [1, d]
-        # slice with the single-row kernel, so row i is bit-identical to
-        # the looped path's x[i:i+1] @ w projections.
-        prof = self.profiler
-        t0 = prof.start() if prof is not None else 0.0
-        qkv = np.matmul(x[:, None, :], self._wqkv[layer_idx])
-        qkv += self._bqkv[layer_idx]
-        if prof is not None:
-            prof.stop("decode_qkv_proj", t0)
-
-        merged = self._merged_scratch(batch)
-        dense_rows: List[Tuple[int, np.ndarray, object]] = []
-        fallback_rows: List[int] = []
-        for i, executor in enumerate(executors):
-            row = qkv[i]  # [1, 3d]
-            style = executor.packed_decode_style
-            if style == "none":
-                # Fallback rows ride through the batched GEMMs and are
-                # overwritten below; opt-out executors are rare enough
-                # that the wasted rows cost less than gathering the
-                # batch around them.
-                fallback_rows.append(i)
-                continue
-            q = split_heads(row[:, :d], n_heads)
-            k_new = split_heads(row[:, d : 2 * d], n_heads)
-            v_new = split_heads(row[:, 2 * d :], n_heads)
-            if style == "dense":
-                cache = executor.decode_kv_append(
-                    layer_idx, k_new, v_new, positions[i : i + 1]
-                )
-                dense_rows.append((i, q, cache))
-            elif style == "custom":
-                t0 = prof.start() if prof is not None else 0.0
-                merged[i] = executor.decode_attend_packed(
-                    layer_idx, model, q, k_new, v_new, positions[i : i + 1]
-                )
-                if prof is not None:
-                    prof.stop("decode_custom_core", t0)
-            else:
-                raise ValueError(
-                    f"unknown packed_decode_style {style!r} from "
-                    f"{type(executor).__name__}"
-                )
-        if dense_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            self._dense_core(dense_rows, merged, head_dim)
-            if prof is not None:
-                prof.stop("decode_dense_core", t0)
-
-        # Fused batched output FC over every packed sequence's merged
-        # head features (row blocks are independent, so each row equals
-        # the looped [1, h*D] @ wo product).
-        t0 = prof.start() if prof is not None else 0.0
-        weights = model.attention(layer_idx).weights
-        out = np.matmul(merged, weights.wo)
-        out += weights.bo
-        attn_out = out[:, 0, :]
-        if prof is not None:
-            prof.stop("decode_output_fc", t0)
-        for i in fallback_rows:
-            t0 = prof.start() if prof is not None else 0.0
-            attn_out[i] = executors[i].run_layer(
-                layer_idx, model, x[i : i + 1], positions[i : i + 1], "decode"
-            ).output[0]
-            if prof is not None:
-                prof.stop("decode_fallback", t0)
-        return attn_out
-
-    def _dense_core(
-        self,
-        dense_rows: List[Tuple[int, np.ndarray, object]],
-        merged: np.ndarray,
-        head_dim: int,
-    ) -> None:
-        """Attention core for the cache-only (dense) sequences.
-
-        Scores and A·V run per sequence at exact lengths over zero-copy
-        cache views (BLAS reductions are not padding-invariant); the
-        elementwise softmax stages batch across the padded scratch.
-        """
-        lens = [len(cache) for (_, _, cache) in dense_rows]
-        n, max_len, min_len = len(dense_rows), max(lens), min(lens)
-        scores = self._scores_scratch(n, max_len)
-        if min_len < max_len:
-            # Mask the ragged tail once for the whole batch; each
-            # sequence's real columns are then overwritten in place by
-            # its exact-length scores below.
-            scores[:, :, :, min_len:] = _MASKED
-        for j, (_, q, cache) in enumerate(dense_rows):
-            np.matmul(
-                q, cache.keys.transpose(0, 2, 1), out=scores[j, :, :, : lens[j]]
-            )
-        scores /= np.sqrt(head_dim)
-        # max is order-exact and shift/exp/normalize are elementwise, so
-        # they batch; the denominator's pairwise sum is length-sensitive
-        # and reduces per sequence over the exact live width.
-        shift = scores.max(axis=-1, keepdims=True)
-        scores -= shift
-        np.exp(scores, out=scores)
-        denom, head_out = self._batch_scratch(n)
-        for j in range(n):
-            np.sum(
-                scores[j, :, :, : lens[j]], axis=-1, keepdims=True,
-                out=denom[j],
-            )
-        scores /= denom
-        for j, (_, _, cache) in enumerate(dense_rows):
-            np.matmul(scores[j, :, :, : lens[j]], cache.values, out=head_out[j])
-        rows = [i for (i, _, _) in dense_rows]
-        merged[rows] = head_out.transpose(0, 2, 1, 3).reshape(n, 1, -1)
-
-    # ------------------------------------------------------------------
-    # Numerics-policy fast path (fp32 / int8 tiers)
-    # ------------------------------------------------------------------
-    def _policy_scores(self, n: int, max_len: int) -> np.ndarray:
-        h = self._model.config.n_heads
-        if self._p_scores.shape[0] < n or self._p_scores.shape[3] < max_len:
-            pages = -(-max_len // self._scratch_page)
-            cap = max(pages * self._scratch_page, self._p_scores.shape[3])
-            self._p_scores = np.zeros(
-                (max(n, self._p_scores.shape[0]), h, 1, cap),
-                dtype=self.policy.compute_dtype,
-            )
-        return self._p_scores[:n, :, :, :max_len]
-
-    def _policy_merged(self, batch: int) -> np.ndarray:
-        d = self._model.config.d_model
-        if self._p_merged.shape[0] < batch:
-            self._p_merged = np.zeros(
-                (batch, 1, d), dtype=self.policy.compute_dtype
-            )
-        return self._p_merged[:batch]
-
-    def _policy_qpack(self, n: int) -> np.ndarray:
-        """Persistent ``[n, h, 1, D]`` scratch for the scaled Q pack."""
-        cfg = self._model.config
-        if self._p_qpack.shape[0] < n:
-            self._p_qpack = np.empty(
-                (n, cfg.n_heads, 1, cfg.head_dim),
-                dtype=self.policy.compute_dtype,
-            )
-        return self._p_qpack[:n]
-
-    def _policy_kv_stage(self, n: int) -> np.ndarray:
-        """Persistent ``[2n, h, D]`` staging rows for the fused KV quantize."""
-        cfg = self._model.config
-        if self._p_kvrows.shape[0] < 2 * n:
-            self._p_kvrows = np.empty(
-                (2 * n, cfg.n_heads, cfg.head_dim),
-                dtype=self.policy.compute_dtype,
-            )
-        return self._p_kvrows[: 2 * n]
-
-    def _policy_quant_work(self, n: int):
-        """Persistent int8-tier scratch: float codes, scales, int8 codes.
-
-        Shapes ``[2n, h, D]`` / ``[2n, h, 1]`` / ``[2n, h, D]``; the
-        caches copy out of these on append, so one set of buffers
-        serves every layer of every step allocation-free.
-        """
-        cfg = self._model.config
-        if self._p_qcodes_f.shape[0] < 2 * n:
-            shape = (2 * n, cfg.n_heads, cfg.head_dim)
-            ct = self.policy.compute_dtype
-            self._p_qcodes_f = np.empty(shape, dtype=ct)
-            self._p_qscales = np.empty(
-                (2 * n, cfg.n_heads, 1), dtype=np.float32
-            )
-            self._p_qcodes = np.empty(shape, dtype=np.int8)
-        m = 2 * n
-        return (
-            self._p_qcodes_f[:m], self._p_qscales[:m], self._p_qcodes[:m]
-        )
+        buf = self._row_scratch[name]
+        if buf.shape[0] < n:
+            buf = np.zeros((n,) + buf.shape[1:], dtype=buf.dtype)
+            self._row_scratch[name] = buf
+        return buf[:n]
 
     def _plane(self, layer_idx: int, n_rows: int, cap_needed: int) -> _ArenaPlane:
         """The layer's arena, grown (rows and columns) to fit this step.
 
-        Growth reallocates and clears ownership — every row rebuilds
-        from its cache next sync, so stale plane content can never leak.
+        Columns grow (page-aligned, at least doubling) only when
+        ``cap_needed`` exceeds the current capacity; growing the batch
+        keeps the column capacity.  Growth reallocates and clears
+        ownership — every row rebuilds from its cache next sync, so
+        stale plane content can never leak.
         """
         cfg = self._model.config
         plane = self._planes[layer_idx]
@@ -508,10 +328,11 @@ class PackedDecodeBackend:
             or plane.k.shape[3] < cap_needed
         ):
             old_rows = plane.k.shape[0] if plane is not None else 0
-            old_cap = plane.k.shape[3] if plane is not None else 0
+            cap = plane.k.shape[3] if plane is not None else 0
             rows = max(n_rows, old_rows)
-            pages = -(-cap_needed // self._scratch_page)
-            cap = max(pages * self._scratch_page, 2 * old_cap)
+            if cap < cap_needed:
+                pages = -(-cap_needed // self._scratch_page)
+                cap = max(pages * self._scratch_page, 2 * cap)
             ct = self.policy.compute_dtype
             plane = _ArenaPlane(
                 np.zeros((rows, cfg.n_heads, cfg.head_dim, cap), dtype=ct),
@@ -520,33 +341,36 @@ class PackedDecodeBackend:
             self._planes[layer_idx] = plane
         return plane
 
-    def decode_step_policy(
+    # ------------------------------------------------------------------
+    # Decode
+    # ------------------------------------------------------------------
+    def decode_step(
         self,
         model: TransformerModel,
         token_ids: np.ndarray,
         positions: np.ndarray,
         executors: Sequence[AttentionExecutor],
     ) -> np.ndarray:
-        """One whole decode step in the policy's compute dtype.
+        """One whole packed decode step; returns ``[B, vocab]`` logits.
 
         :meth:`~repro.nn.transformer.TransformerModel.decode_step_batch`
-        delegates here (after its input validation) whenever the
-        backend's policy is non-exact.  The layer stack mirrors the
-        exact path operation-for-operation — embedding gather, packed
-        attention, residual + LayerNorm, tanh/gelu FFN, LM head — but
-        runs vectorized over cast weights with the arena-packed
-        attention core of :meth:`_dense_core_policy`.  Rows whose
-        executor opts out of packing (``packed_decode_style == "none"``)
-        fall back to ``run_layer`` in fp64; ``custom`` executors
-        (SpAtten) keep their own per-sequence core and semantics, with
-        dtype-aware KV storage underneath.
+        delegates here (after its input validation) for every numerics
+        tier.  The layer stack mirrors the looped path
+        operation-for-operation — embedding gather, packed attention,
+        residual + LayerNorm, tanh/gelu FFN, LM head — over the
+        policy's weights; see the module docstring for the three points
+        where the tier picks the implementation.
         """
         if model is not self._model:
             raise ValueError(
                 "PackedDecodeBackend is bound to a different model; create "
                 "one backend per TransformerModel"
             )
-        cw = self._cast
+        w = self._weights
+        if self.policy.is_exact:
+            norm, ffn = layer_norm, model._ffn
+        else:
+            norm, ffn = _policy_layer_norm, self._ffn_policy
         # Executor styles cannot change mid-step: group rows once and
         # reuse the grouping across every layer.
         dense_rows: List[Tuple[int, AttentionExecutor]] = []
@@ -565,82 +389,73 @@ class PackedDecodeBackend:
                     f"unknown packed_decode_style {style!r} from "
                     f"{type(executor).__name__}"
                 )
-        dense_idx = [i for i, _ in dense_rows]
-        x = cw.tok_emb[token_ids] + cw.pos_emb[positions]
+        # All-dense batches (the common serving case) index with plain
+        # slices — views, not fancy-index copies.
+        dense_sel = (
+            slice(None) if len(dense_rows) == len(executors)
+            else [i for i, _ in dense_rows]
+        )
+        x = w.tok_emb[token_ids] + w.pos_emb[positions]
         for layer_idx in range(model.config.n_layers):
-            attn_out = self._decode_layer_policy(
+            attn_out = self._decode_layer(
                 model, layer_idx, x, positions,
-                dense_rows, dense_idx, custom_rows, fallback_rows,
+                dense_rows, dense_sel, custom_rows, fallback_rows,
             )
             # Residual adds run in place on the freshly produced left
-            # operand (attn/FFN output buffers are never aliased to x).
+            # operand (attn/FFN output buffers are never aliased to x;
+            # float addition commutes, so this equals x + attn_out).
             attn_out += x
-            x = _policy_layer_norm(
-                attn_out, cw.ln1_g[layer_idx], cw.ln1_b[layer_idx]
-            )
-            ffn_out = self._ffn_policy(layer_idx, x)
+            x = norm(attn_out, w.ln1_g[layer_idx], w.ln1_b[layer_idx])
+            ffn_out = ffn(layer_idx, x)
             ffn_out += x
-            x = _policy_layer_norm(
-                ffn_out, cw.ln2_g[layer_idx], cw.ln2_b[layer_idx],
-            )
-        return x @ cw.lm_proj
+            x = norm(ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx])
+        return x @ w.lm_proj
 
-    def _ffn_policy(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
-        """Vectorized compute-dtype tanh/gelu FFN (the PR-3 fp64 tax)."""
-        cw = self._cast
-        if self._p_ffn_h.shape[0] < len(x):
-            d_ff = cw.w1[0].shape[1]
-            ct = self.policy.compute_dtype
-            self._p_ffn_h = np.empty((len(x), d_ff), dtype=ct)
-            self._p_ffn_i = np.empty((len(x), d_ff), dtype=ct)
-        hidden = self._p_ffn_h[: len(x)]
-        inner = self._p_ffn_i[: len(x)]
-        np.matmul(x, cw.w1[layer_idx], out=hidden)
-        hidden += cw.b1[layer_idx]
-        # h + 0.044715 h^3 factored as h (1 + 0.044715 h^2): one fewer
-        # full-array multiply, every op in-place on the scratch.
-        np.square(hidden, out=inner)
-        inner *= 0.044715
-        inner += 1.0
-        inner *= hidden
-        inner *= _GELU_C
-        np.tanh(inner, out=inner)
-        inner += 1.0
-        inner *= hidden
-        inner *= 0.5
-        out = inner @ cw.w2[layer_idx]
-        out += cw.b2[layer_idx]
+    def _gemm(self, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``x @ w + b`` over ``[B, k]`` rows in the tier's GEMM kernel.
+
+        Exact runs the ``[B, 1, k]`` gufunc, which computes each row
+        with the single-row kernel, so row ``i`` is bit-identical to
+        the looped path's ``x[i:i+1] @ w``.  Cast tiers run one 2-D
+        GEMM (not ``B`` separate GEMVs).
+        """
+        if self.policy.is_exact:
+            out = np.matmul(x[:, None, :], w)[:, 0, :]
+        else:
+            out = x @ w
+        out += b
         return out
 
-    def _decode_layer_policy(
+    def _decode_layer(
         self,
         model: TransformerModel,
         layer_idx: int,
         x: np.ndarray,
         positions: np.ndarray,
         dense_rows: List[Tuple[int, AttentionExecutor]],
-        dense_idx: List[int],
+        dense_sel,
         custom_rows: List[Tuple[int, AttentionExecutor]],
         fallback_rows: List[Tuple[int, AttentionExecutor]],
     ) -> np.ndarray:
+        """Packed attention of one block: ``attn_out [B, d_model]``."""
         cfg = model.config
         d, n_heads, head_dim = cfg.d_model, cfg.n_heads, cfg.head_dim
         batch = len(x)
+        w = self._weights
         prof = self.profiler
         t0 = prof.start() if prof is not None else 0.0
-        cw = self._cast
-        # One 2D GEMM (not a [B, 1, d] batched matmul, which dispatches
-        # B separate GEMVs) for the fused QKV projection.
-        flat = x @ cw.wqkv[layer_idx]
-        flat += cw.bqkv[layer_idx]
+        qkv = self._gemm(x, w.wqkv[layer_idx], w.bqkv[layer_idx])
         # Batched head split: views, replacing 3·B per-row reshapes.
-        q_all = flat[:, :d].reshape(batch, n_heads, head_dim)
-        k_all = flat[:, d : 2 * d].reshape(batch, n_heads, head_dim)
-        v_all = flat[:, 2 * d :].reshape(batch, n_heads, head_dim)
+        q_all = qkv[:, :d].reshape(batch, n_heads, head_dim)
+        k_all = qkv[:, d : 2 * d].reshape(batch, n_heads, head_dim)
+        v_all = qkv[:, 2 * d :].reshape(batch, n_heads, head_dim)
         if prof is not None:
             prof.stop("decode_qkv_proj", t0)
 
-        merged = self._policy_merged(batch)
+        # Fallback rows ride through the batched GEMMs and are
+        # overwritten below; opt-out executors are rare enough that the
+        # wasted rows cost less than gathering the batch around them.
+        merged = self._rows("merged", batch)
         for i, executor in custom_rows:
             t0 = prof.start() if prof is not None else 0.0
             merged[i] = executor.decode_attend_packed(
@@ -652,16 +467,21 @@ class PackedDecodeBackend:
                 prof.stop("decode_custom_core", t0)
         if dense_rows:
             t0 = prof.start() if prof is not None else 0.0
-            self._dense_core_policy(
-                layer_idx, dense_rows, dense_idx, q_all, k_all, v_all,
-                positions, merged,
+            caches, lens, k_cols, v_cols = self._append_dense(
+                layer_idx, dense_rows, dense_sel, k_all, v_all, positions
             )
+            if self.policy.is_exact:
+                self._dense_core(q_all[dense_sel], caches, lens, merged, dense_sel)
+            else:
+                self._dense_core_policy(
+                    layer_idx, q_all[dense_sel], caches, lens,
+                    k_cols, v_cols, merged, dense_sel,
+                )
             if prof is not None:
                 prof.stop("decode_dense_core", t0)
 
         t0 = prof.start() if prof is not None else 0.0
-        attn_out = merged[:, 0, :] @ cw.wo[layer_idx]
-        attn_out += cw.bo[layer_idx]
+        attn_out = self._gemm(merged, w.wo[layer_idx], w.bo[layer_idx])
         if prof is not None:
             prof.stop("decode_output_fc", t0)
         for i, executor in fallback_rows:
@@ -677,47 +497,38 @@ class PackedDecodeBackend:
                 prof.stop("decode_fallback", t0)
         return attn_out
 
-    def _dense_core_policy(
+    def _append_dense(
         self,
         layer_idx: int,
         dense_rows: List[Tuple[int, AttentionExecutor]],
-        dense_idx: List[int],
-        q_all: np.ndarray,
+        dense_sel,
         k_all: np.ndarray,
         v_all: np.ndarray,
         positions: np.ndarray,
-        merged: np.ndarray,
-    ) -> None:
-        """Arena-packed attention core for the dense rows of one layer.
+    ):
+        """Append this step's K/V column to every dense row's cache.
 
-        Appends this step's KV columns (the whole batch's k/v rows
-        quantized in *one* :func:`quantize_rows` call under int8),
-        syncs each cache into its batch-order arena row (a single
-        vectorized fancy-index tail write in the steady state), then
-        runs scores → masked softmax → A·V as three batched tensor ops
-        over the ``[n, h, ...]`` pack — no per-sequence BLAS calls.
+        Returns ``(caches, lens, k_cols, v_cols)``: the layer caches in
+        dense-row order, their new lengths, and the appended columns as
+        the cast-tier arena will read them.  Under int8 the whole
+        batch's k and v rows are quantized in *one* fused pass —
+        inlined :func:`repro.core.quantization.quantize_rows`
+        (bit-identical codes and scales, asserted by
+        tests/test_numerics.py) over persistent scratch: every op runs
+        in place, and the finite-input guard is skipped because decode
+        activations are bounded by construction (LayerNormed hidden
+        state through finite weights).  The arena then reads the
+        dequantized columns, matching what the caches store.
         """
-        ct = self.policy.compute_dtype
         n = len(dense_rows)
-        # All-dense batches (the common serving case) index with plain
-        # slices — views, not fancy-index copies.
-        sel = slice(None) if n == merged.shape[0] else dense_idx
         quantized = self.policy.quantized_gemm
         if quantized:
-            # One fused quantization of this step's k and v rows —
-            # inlined :func:`repro.core.quantization.quantize_rows`
-            # (bit-identical codes and scales, asserted by
-            # tests/test_numerics.py) over persistent scratch: every op
-            # runs in place, and the finite-input guard is skipped
-            # because decode activations are bounded by construction
-            # (LayerNormed hidden state through finite weights).  Q
-            # stays in the compute dtype — the score GEMM reads fp Q
-            # against dequantized int8 K, matching what the cache
-            # stores.
-            kv_rows = self._policy_kv_stage(n)
-            kv_rows[:n] = k_all[sel]
-            kv_rows[n:] = v_all[sel]
-            codes_f, scales, codes = self._policy_quant_work(n)
+            kv_rows = self._rows("kv_rows", 2 * n)
+            kv_rows[:n] = k_all[dense_sel]
+            kv_rows[n:] = v_all[dense_sel]
+            codes_f, scales, codes = (
+                self._rows(name, 2 * n) for name in ("codes_f", "scales", "codes")
+            )
             np.abs(kv_rows, out=codes_f)
             np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
             np.divide(scales, 127.0, out=scales)
@@ -736,10 +547,8 @@ class PackedDecodeBackend:
             k_codes, k_scales = codes[:n], scales[:n, :, 0]
             v_codes, v_scales = codes[n:], scales[n:, :, 0]
         else:
-            k_cols = k_all[sel]
-            v_cols = v_all[sel]
-        # Append this step's column to every cache first so plane
-        # capacity can be ensured once, before any row writes.
+            k_cols = k_all[dense_sel]
+            v_cols = v_all[dense_sel]
         lens = np.empty(n, dtype=np.int64)
         caches = []
         for j, (i, executor) in enumerate(dense_rows):
@@ -753,6 +562,71 @@ class PackedDecodeBackend:
                 cache.append_decode_col(k_cols[j], v_cols[j], positions[i])
             caches.append(cache)
             lens[j] = cache._len
+        return caches, lens, k_cols, v_cols
+
+    def _dense_core(
+        self,
+        q: np.ndarray,
+        caches: List[object],
+        lens: np.ndarray,
+        merged: np.ndarray,
+        dense_sel,
+    ) -> None:
+        """Exact attention core for the dense rows of one layer.
+
+        Scores and A·V run per sequence at exact lengths over zero-copy
+        cache views (BLAS reductions are not padding-invariant); the
+        elementwise softmax stages batch across the padded scratch.
+        """
+        n, max_len, min_len = len(caches), int(lens.max()), int(lens.min())
+        scores = self._scores_scratch(n, max_len)
+        if min_len < max_len:
+            # Mask the ragged tail once for the whole batch; each
+            # sequence's real columns are then overwritten in place by
+            # its exact-length scores below.
+            scores[:, :, :, min_len:] = _MASKED
+        for j, cache in enumerate(caches):
+            np.matmul(
+                q[j][:, None, :], cache.keys.transpose(0, 2, 1),
+                out=scores[j, :, :, : lens[j]],
+            )
+        scores /= np.sqrt(self._model.config.head_dim)
+        # max is order-exact and shift/exp/normalize are elementwise, so
+        # they batch; the denominator's pairwise sum is length-sensitive
+        # and reduces per sequence over the exact live width.
+        shift = scores.max(axis=-1, keepdims=True)
+        scores -= shift
+        np.exp(scores, out=scores)
+        denom, head_out = self._rows("denom", n), self._rows("head_out", n)
+        for j in range(n):
+            np.sum(
+                scores[j, :, :, : lens[j]], axis=-1, keepdims=True,
+                out=denom[j],
+            )
+        scores /= denom
+        for j, cache in enumerate(caches):
+            np.matmul(scores[j, :, :, : lens[j]], cache.values, out=head_out[j])
+        merged[dense_sel] = head_out.transpose(0, 2, 1, 3).reshape(n, -1)
+
+    def _dense_core_policy(
+        self,
+        layer_idx: int,
+        q: np.ndarray,
+        caches: List[object],
+        lens: np.ndarray,
+        k_cols: np.ndarray,
+        v_cols: np.ndarray,
+        merged: np.ndarray,
+        dense_sel,
+    ) -> None:
+        """Arena-packed attention core for the dense rows of one layer.
+
+        Syncs each cache into its batch-order arena row (a single
+        vectorized fancy-index tail write in the steady state), then
+        runs scores → masked softmax → A·V as three batched tensor ops
+        over the ``[n, h, ...]`` pack — no per-sequence BLAS calls.
+        """
+        n = len(caches)
         max_len = int(lens.max())
         min_len = int(lens.min())
         plane = self._plane(layer_idx, n, max_len)
@@ -795,11 +669,9 @@ class PackedDecodeBackend:
             owners[j] = cache
             cache._arena_state = (length, cache.version)
 
-        q_pack = self._policy_qpack(n)
-        np.multiply(
-            q_all[sel][:, :, None, :], self._inv_sqrt_d, out=q_pack
-        )
-        scores = self._policy_scores(n, max_len)
+        q_pack = self._rows("q_pack", n)
+        np.multiply(q[:, :, None, :], self._inv_sqrt_d, out=q_pack)
+        scores = self._scores_scratch(n, max_len)
         np.matmul(q_pack, plane_k[:n, :, :, :max_len], out=scores)
         if min_len < max_len:
             for j in range(n):
@@ -815,9 +687,31 @@ class PackedDecodeBackend:
         # and (exp·V)/denom distributes over the dot product.
         head_out = np.matmul(scores, plane_v[:n, :, :max_len])
         head_out /= denom
-        # [n, h, 1, D] → [n, 1, h·D] reshapes in place (the moved axis
-        # is the singleton), so no transpose copy is needed.
-        merged[sel] = head_out.reshape(n, 1, -1)
+        # [n, h, 1, D] → [n, h·D] reshapes in place (the moved axis is
+        # the singleton), so no transpose copy is needed.
+        merged[dense_sel] = head_out.reshape(n, -1)
+
+    def _ffn_policy(self, layer_idx: int, x: np.ndarray) -> np.ndarray:
+        """Vectorized compute-dtype tanh/gelu FFN (no fp64 promotion)."""
+        w = self._weights
+        hidden = self._rows("ffn_hidden", len(x))
+        inner = self._rows("ffn_inner", len(x))
+        np.matmul(x, w.w1[layer_idx], out=hidden)
+        hidden += w.b1[layer_idx]
+        # h + 0.044715 h^3 factored as h (1 + 0.044715 h^2): one fewer
+        # full-array multiply, every op in-place on the scratch.
+        np.square(hidden, out=inner)
+        inner *= 0.044715
+        inner += 1.0
+        inner *= hidden
+        inner *= _GELU_C
+        np.tanh(inner, out=inner)
+        inner += 1.0
+        inner *= hidden
+        inner *= 0.5
+        out = inner @ w.w2[layer_idx]
+        out += w.b2[layer_idx]
+        return out
 
     # ------------------------------------------------------------------
     # Chunked prefill

@@ -136,10 +136,10 @@ class AttentionExecutor:
         * ``"none"`` — no packed support; the backend falls back to a
           per-sequence :meth:`run_layer` call (full looped semantics).
         * ``"dense"`` — the executor's only per-layer decode state is a
-          :class:`~repro.nn.kv_cache.LayerKVCache`; the backend appends
-          the new column via :meth:`decode_kv_append` and runs the whole
-          attention core (scores, softmax, A·V) centrally over the
-          batch.
+          :class:`~repro.nn.kv_cache.LayerKVCache`, handed out by
+          :meth:`decode_kv_cache`; the backend appends the new column
+          itself and runs the whole attention core (scores, softmax,
+          A·V) centrally over the batch.
         * ``"custom"`` — the backend supplies full-width projections and
           the executor runs its own per-sequence core via
           :meth:`decode_attend_packed` (pruning decisions, progressive
@@ -167,25 +167,13 @@ class AttentionExecutor:
 
         return EXACT
 
-    def decode_kv_append(
-        self,
-        layer_idx: int,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        positions: np.ndarray,
-    ):
-        """Append one decode column (``[h, 1, D]``) for a ``"dense"``
-        executor and return the layer's :class:`LayerKVCache`."""
-        raise NotImplementedError
-
     def decode_kv_cache(self, layer_idx: int):
-        """The layer's :class:`~repro.nn.kv_cache.LayerKVCache` without
-        appending (``"dense"`` style only).
+        """The layer's :class:`~repro.nn.kv_cache.LayerKVCache`
+        (``"dense"`` style only).
 
-        The numerics-policy fast path appends centrally — batching the
-        quantization of a whole step's new columns — so it needs the
-        bare cache rather than the append-and-return of
-        :meth:`decode_kv_append`.
+        The packed backend appends each decode column itself — batching
+        the quantization of a whole step's new columns under int8 — and
+        attends over the cache centrally.
         """
         raise NotImplementedError
 
@@ -275,10 +263,6 @@ class DenseExecutor(AttentionExecutor):
         kv_page_tokens: KV-cache growth quantum in columns (aligned with
             the serving pool's page size; see
             :class:`~repro.nn.kv_cache.LayerKVCache`).
-        kv_preallocate: grow KV buffers by amortized doubling (default).
-            ``False`` restores concatenate-per-append storage — the
-            pre-packed-backend hot path, kept as the baseline for
-            ``benchmarks/bench_decode_step.py``.
         numerics: :class:`~repro.nn.numerics.NumericsPolicy` (or tier
             name) selecting the KV storage representation — fp64 under
             ``exact`` (default, bit-identical), fp32 planes or int8
@@ -290,7 +274,6 @@ class DenseExecutor(AttentionExecutor):
     def __init__(
         self,
         kv_page_tokens: int = 16,
-        kv_preallocate: bool = True,
         numerics=None,
     ) -> None:
         from .numerics import resolve_numerics
@@ -299,7 +282,6 @@ class DenseExecutor(AttentionExecutor):
         self._n_heads = 0
         self._prefill_total = 0
         self._kv_page_tokens = kv_page_tokens
-        self._kv_preallocate = kv_preallocate
         self._numerics = resolve_numerics(numerics)
 
     @property
@@ -318,7 +300,6 @@ class DenseExecutor(AttentionExecutor):
                     cfg.bytes_per_element
                 ),
                 page_tokens=self._kv_page_tokens,
-                preallocate=self._kv_preallocate,
                 dtype=policy.kv_dtype,
             )
         else:
@@ -354,20 +335,8 @@ class DenseExecutor(AttentionExecutor):
         """Cache-only state: the backend may run the core centrally."""
         return "dense" if self._cache is not None else "none"
 
-    def decode_kv_append(
-        self,
-        layer_idx: int,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        positions: np.ndarray,
-    ):
-        """Append the decode column exactly as the looped path would."""
-        layer_cache = self._cache[layer_idx]
-        layer_cache.append(k_new, v_new, positions)
-        return layer_cache
-
     def decode_kv_cache(self, layer_idx: int):
-        """Bare layer cache for the policy path's central append."""
+        """Layer cache the packed backend appends to and attends over."""
         return self._cache[layer_idx]
 
     def run_layer(
@@ -401,8 +370,8 @@ class DenseExecutor(AttentionExecutor):
                 # Mid-chunked-prefill: pad K/V to the final prompt
                 # width (the causal mask excludes the extra columns) so
                 # the softmax normalizes over the same columns as the
-                # monolithic pass — see begin_prefill.  With
-                # preallocated buffers this view costs no copy.
+                # monolithic pass — see begin_prefill.  For float
+                # storage this view costs no copy.
                 kv = layer_cache.padded_to(self._prefill_total)
             else:
                 kv = layer_cache.as_tuple()
@@ -795,10 +764,11 @@ class TransformerModel:
         :meth:`AttentionExecutor.run_layer`, issuing ``B × n_layers``
         single-row projections per step.  With a
         :class:`~repro.nn.batched_attention.PackedDecodeBackend` (the
-        **packed** path) each layer's Q/K/V and output projections run
-        as single fused batch-level matmuls and the dense attention core
-        is executed centrally over preallocated KV views — bit-identical
-        logits, a fraction of the interpreter and copy traffic.
+        **packed** path) the backend runs the whole step at its numerics
+        tier: each layer's Q/K/V and output projections run as single
+        fused batch-level matmuls and the dense attention core executes
+        centrally — bit-identical logits under ``exact``, a fraction of
+        the interpreter and copy traffic.
 
         Each executor must already hold a prefilled sequence (see
         :meth:`prefill`); sequence ``i`` decodes ``token_ids[i]`` at
@@ -818,34 +788,24 @@ class TransformerModel:
             raise ValueError(
                 f"position exceeds max_seq_len={self.config.max_seq_len}"
             )
-        if backend is not None and not backend.policy.is_exact:
-            # Non-exact numerics tier: the backend owns the whole step
-            # (compute-dtype layer stack + arena-packed attention core);
-            # see repro.nn.numerics for the ladder contract.
-            return backend.decode_step_policy(
-                self, token_ids, positions, executors
-            )
+        if backend is not None:
+            return backend.decode_step(self, token_ids, positions, executors)
         x = (
             self.params.token_embedding[token_ids]
             + self.params.pos_embedding[positions]
         )
         for layer_idx in range(self.config.n_layers):
             bp = self.block(layer_idx)
-            if backend is not None:
-                attn_out = backend.decode_layer(
-                    self, layer_idx, x, positions, executors
-                )
-            else:
-                attn_out = np.concatenate(
-                    [
-                        executor.run_layer(
-                            layer_idx, self, x[i : i + 1],
-                            positions[i : i + 1], "decode",
-                        ).output
-                        for i, executor in enumerate(executors)
-                    ],
-                    axis=0,
-                )
+            attn_out = np.concatenate(
+                [
+                    executor.run_layer(
+                        layer_idx, self, x[i : i + 1],
+                        positions[i : i + 1], "decode",
+                    ).output
+                    for i, executor in enumerate(executors)
+                ],
+                axis=0,
+            )
             x = layer_norm(x + attn_out, bp.ln1_gamma, bp.ln1_beta)
             x = layer_norm(x + self._ffn(layer_idx, x), bp.ln2_gamma, bp.ln2_beta)
         return self.lm_logits(x)

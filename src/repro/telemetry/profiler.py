@@ -8,8 +8,11 @@ packed decode hot path".  :class:`HotPathProfiler` measures that with
 ``time.perf_counter`` around the
 :class:`~repro.nn.batched_attention.PackedDecodeBackend` stages:
 
-* ``decode_qkv_proj`` — the fused ``[B,1,d] @ [d,3d]`` projection;
-* ``decode_dense_core`` — scores/softmax/A·V over the cache views;
+* ``decode_qkv_proj`` — the fused ``[d,3d]`` projection, in whichever
+  GEMM kernel the numerics tier runs (the ``[B,1,d]`` gufunc under
+  ``exact``, one 2-D ``[B,d]`` GEMM otherwise);
+* ``decode_dense_core`` — the dense rows' KV append plus
+  scores/softmax/A·V (exact-length cache views, or the arena);
 * ``decode_custom_core`` — SpAtten executors' per-sequence cores;
 * ``decode_output_fc`` — the fused output projection;
 * ``decode_fallback`` — opt-out executors' ``run_layer`` rows;

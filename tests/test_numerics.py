@@ -48,6 +48,15 @@ PRUNING = PruningConfig(
 QUANT = QuantConfig(msb_bits=6, lsb_bits=4, progressive=True, threshold=0.1)
 
 
+class _FallbackExecutor(DenseExecutor):
+    """Dense math opted out of packed decode: the backend runs these
+    rows through the per-sequence fp64 ``run_layer`` fallback."""
+
+    @property
+    def packed_decode_style(self) -> str:
+        return "none"
+
+
 @pytest.fixture(scope="module")
 def decoder():
     config = ModelConfig(
@@ -68,6 +77,8 @@ def _prefilled(model, spec, seed, numerics=None):
             executor = SpAttenExecutor(PRUNING, numerics=numerics)
         elif kind == "quant":
             executor = SpAttenExecutor(PRUNING, QUANT, numerics=numerics)
+        elif kind == "fallback":
+            executor = _FallbackExecutor(numerics=numerics)
         else:  # pragma: no cover - spec typo guard
             raise ValueError(kind)
         prompt = rng.integers(0, model.config.vocab_size, size=prompt_len)
@@ -151,6 +162,13 @@ class TestExactTierBitIdentity:
 class TestNonExactTiers:
     """fp32/int8 are allowed to drift — within tier-sized bounds."""
 
+    DENSE_SPEC = [("dense", 5), ("dense", 23), ("dense", 11)]
+    #: The mixed batch a non-exact fleet serves: arena-core dense rows
+    #: beside SpAtten custom cores and fp64 ``run_layer`` fallback rows
+    #: in one step.
+    MIXED_SPEC = [("dense", 5), ("spatten", 30), ("fallback", 9),
+                  ("quant", 12), ("dense", 23)]
+
     def _oracle_and_tier(self, model, spec, tier, n_steps, seed=9):
         policy = resolve_numerics(tier)
         backend = PackedDecodeBackend(model, numerics=policy)
@@ -170,18 +188,39 @@ class TestNonExactTiers:
             positions = [p + 1 for p in positions]
         return pairs
 
+    def _check_fp32(self, model, spec):
+        for ol, tl in self._oracle_and_tier(model, spec, "fp32", 6):
+            for row, (kind, _) in enumerate(spec):
+                if kind == "quant":
+                    # Progressive quantization rounds onto a 6-bit grid,
+                    # so an fp32 ulp can flip one code: a relative bound.
+                    rel = np.linalg.norm(tl[row] - ol[row]) / np.linalg.norm(
+                        ol[row]
+                    )
+                    assert rel < 1e-3, f"quant row drifted {rel:.2e} in L2"
+                else:
+                    assert np.allclose(tl[row], ol[row], rtol=1e-4, atol=1e-4)
+
+    def _check_int8(self, model, spec):
+        for ol, tl in self._oracle_and_tier(model, spec, "int8", 6):
+            rel = np.linalg.norm(tl - ol) / np.linalg.norm(ol)
+            assert rel < 0.05, f"int8 logits drifted {rel:.3f} in L2"
+
     @pytest.mark.smoke
     def test_fp32_tracks_oracle_tightly(self, decoder):
-        spec = [("dense", 5), ("dense", 23), ("dense", 11)]
-        for ol, tl in self._oracle_and_tier(decoder, spec, "fp32", 6):
-            assert np.allclose(tl, ol, rtol=1e-4, atol=1e-4)
+        self._check_fp32(decoder, self.DENSE_SPEC)
+
+    @pytest.mark.smoke
+    def test_fp32_tracks_oracle_tightly_mixed_batch(self, decoder):
+        self._check_fp32(decoder, self.MIXED_SPEC)
 
     @pytest.mark.smoke
     def test_int8_tracks_oracle_within_budget_scale(self, decoder):
-        spec = [("dense", 5), ("dense", 23), ("dense", 11)]
-        for ol, tl in self._oracle_and_tier(decoder, spec, "int8", 6):
-            rel = np.linalg.norm(tl - ol) / np.linalg.norm(ol)
-            assert rel < 0.05, f"int8 logits drifted {rel:.3f} in L2"
+        self._check_int8(decoder, self.DENSE_SPEC)
+
+    @pytest.mark.smoke
+    def test_int8_tracks_oracle_within_budget_scale_mixed_batch(self, decoder):
+        self._check_int8(decoder, self.MIXED_SPEC)
 
     def test_non_exact_spatten_rows_still_prune(self, decoder):
         spec = [("spatten", 48), ("spatten", 36)]
@@ -235,6 +274,20 @@ class TestNonExactTiers:
             assert np.array_equal(incremental, rebuilt)
             tokens = [int(np.argmax(row)) for row in incremental]
             positions = [p + 1 for p in positions]
+
+    def test_arena_row_growth_keeps_column_capacity(self, decoder):
+        """Adding batch rows must not grow the arena's columns.
+
+        Columns grow only when a sequence outgrows them.  Doubling them
+        on every regrowth took a batch growing 1 → 8 rows at a fixed
+        40-column need from 64 to 8192 columns (16 MiB per fp32 layer).
+        """
+        backend = PackedDecodeBackend(decoder, numerics="fp32")
+        for rows in range(1, 9):
+            plane = backend._plane(0, rows, 40)
+            assert plane.k.shape[0] == rows
+            assert plane.k.shape[3] == plane.v.shape[2] == 64
+        assert backend._plane(0, 8, 65).k.shape[3] == 128
 
 
 class TestHotPathQuantization:
