@@ -82,7 +82,9 @@ overhead until asked for.  Both serving subcommands take:
 * ``--prom-out PATH`` — final counter/gauge/histogram state in
   Prometheus text exposition format.
 * ``--profile`` — wall-clock hot-path profile of the packed decode
-  backend, printed after the report (wall time, *not* simulated time;
+  backend, printed after the report: one row per backend stage plus
+  ``unattributed``, the rest of the run's end-to-end wall time, with
+  shares against that wall time (wall time, *not* simulated time;
   excluded from the deterministic artifacts above).
 * ``--audit-every N`` — run the KV pool's invariant audit every N
   engine steps (fleet-ledger audit in serve-cluster), surfaced as the
@@ -404,6 +406,15 @@ def _check_stdout_sinks(args, multi_mode: bool) -> None:
         )
 
 
+def _run_engine(engine, requests, telemetry):
+    """``engine.run(requests)``, timed end to end when profiling."""
+    profiler = telemetry.profiler if telemetry is not None else None
+    if profiler is None:
+        return engine.run(requests)
+    with profiler.wall_clock():
+        return engine.run(requests)
+
+
 def _write_telemetry(args, telemetry, mode, multi_mode: bool) -> None:
     """Flush one run's telemetry artifacts to their sinks."""
     if telemetry is None:
@@ -498,7 +509,7 @@ def _serve(args) -> int:
             audit_every=args.audit_every,
             slo=slo,
         )
-        stats = engine.run(requests)
+        stats = _run_engine(engine, requests, telemetry)
         throughputs[mode] = stats.throughput_tps
         stats_by_mode[mode] = stats
         print()
@@ -663,7 +674,7 @@ def _serve_cluster(args) -> int:
         )
         print(f"chaos plan (seed {args.chaos_seed}, "
               f"{args.chaos_profile}): {counts or 'no events'}")
-    stats = cluster.run(requests)
+    stats = _run_engine(cluster, requests, telemetry)
     print()
     print(stats.table())
     _write_telemetry(args, telemetry, "cluster", multi_mode=False)
@@ -758,7 +769,9 @@ def _add_serving_flags(parser) -> None:
                              "exposition format ('-' for stdout)")
     parser.add_argument("--profile", action="store_true",
                         help="profile the packed decode backend's hot "
-                             "path (wall clock, printed after the report)")
+                             "path (wall clock, printed after the report; "
+                             "an 'unattributed' row makes the stages add "
+                             "up to the run's end-to-end wall time)")
     parser.add_argument("--audit-every", type=int, metavar="N", default=None,
                         help="run the KV pool invariant audit every N "
                              "engine steps (global ledger audit in "

@@ -36,10 +36,15 @@ from .head_pruning import prune_heads
 from .importance import HeadImportanceAccumulator, TokenImportanceAccumulator
 from .quantization import LinearQuantizer, needs_lsb
 from .token_pruning import prune_tokens
+from .topk import topk_rows
 from .trace import AttentionTrace, LayerStep
 from .value_pruning import apply_local_value_pruning, local_value_keep_indices
 
-__all__ = ["SpAttenExecutor"]
+__all__ = ["SpAttenExecutor", "SpAttenDecodeBatch"]
+
+#: Score of padding columns in the batched decode core; underflows to an
+#: exact 0.0 after the softmax's exp (the packed backend's convention).
+_MASKED = -1e30
 
 
 class SpAttenExecutor(AttentionExecutor):
@@ -240,8 +245,8 @@ class SpAttenExecutor(AttentionExecutor):
     ) -> LayerExecution:
         if projected is not None:
             raise ValueError(
-                "SpAttenExecutor projects live heads itself; precomputed "
-                "projections are only consumed via decode_attend_packed"
+                "SpAttenExecutor projects live heads itself; only the packed "
+                "backend's SpAttenDecodeBatch consumes precomputed projections"
             )
         if stage == "summarize":
             return self._run_summarize(layer_idx, model, x, positions)
@@ -280,31 +285,6 @@ class SpAttenExecutor(AttentionExecutor):
         stage: str,
     ) -> Tuple[np.ndarray, AttentionRecord]:
         """Local V pruning, importance accumulation, output projection."""
-        merged, record = self._finish_layer_merged(
-            model, layer_idx, probs, v_live, key_ids, query_ids,
-            lsb_fraction, stage,
-        )
-        output = model.attention(layer_idx).project_merged(merged)
-        return output, record
-
-    def _finish_layer_merged(
-        self,
-        model: TransformerModel,
-        layer_idx: int,
-        probs: np.ndarray,
-        v_live: np.ndarray,
-        key_ids: np.ndarray,
-        query_ids: np.ndarray,
-        lsb_fraction: float,
-        stage: str,
-    ) -> Tuple[np.ndarray, AttentionRecord]:
-        """Everything in :meth:`_finish_layer` except the output FC.
-
-        Returns the merged full-width head features ``[L, h*D]`` so the
-        packed decode backend can batch the output projection across
-        sequences (:mod:`repro.nn.batched_attention`); the looped path
-        applies the same FC per sequence, which is bit-identical.
-        """
         kept_per_head = local_value_keep_indices(probs, self.pruning.value_keep)
         head_out, kept_counts = apply_local_value_pruning(
             probs, v_live, kept_per_head
@@ -314,7 +294,7 @@ class SpAttenExecutor(AttentionExecutor):
 
         cfg = self._model_config
         full = expand_pruned_heads(head_out, self._alive_heads, cfg.n_heads)
-        merged = merge_heads(full)
+        output = model.attention(layer_idx).project_merged(merge_heads(full))
         record = AttentionRecord(
             probs=probs,
             head_outputs=head_out,
@@ -335,7 +315,7 @@ class SpAttenExecutor(AttentionExecutor):
                 lsb_fraction=lsb_fraction,
             )
         )
-        return merged, record
+        return output, record
 
     def _run_summarize(
         self,
@@ -396,9 +376,9 @@ class SpAttenExecutor(AttentionExecutor):
         Everything in a decode layer that precedes the Q/K/V projection:
         admitting the new token to the live set (layer 0), cascade token
         pruning over the global live set, cascade head pruning, and
-        evicting pruned columns from this layer's KV cache.  Shared
-        verbatim by the looped and packed decode paths, so both commit
-        exactly the same pruning decisions.
+        evicting pruned columns from this layer's KV cache.  The packed
+        backend commits the same decisions for a whole batch at once
+        (:class:`SpAttenDecodeBatch`).
         """
         if self._original_length is None:
             raise RuntimeError("decode before summarize; call encode/generate")
@@ -432,22 +412,24 @@ class SpAttenExecutor(AttentionExecutor):
         if len(keep_cols) < len(layer_cache):
             layer_cache.keep(keep_cols)
 
-    def _decode_attend_merged(
+    def _run_decode(
         self,
         layer_idx: int,
         model: TransformerModel,
-        q_live: np.ndarray,
-        k_live: np.ndarray,
-        v_live: np.ndarray,
+        x: np.ndarray,
         positions: np.ndarray,
-    ) -> Tuple[np.ndarray, AttentionRecord]:
-        """Post-projection decode core; returns merged ``[1, h*D]``.
+    ) -> LayerExecution:
+        """Looped decode of one token: the packed path's bit-exact oracle.
 
         Appends the (full-width, dead-head-zeroed) K/V column, runs the
         quantization-aware attention probabilities over the live heads,
-        and finishes with local value pruning and importance
-        accumulation — everything except the output FC.
+        and finishes with local value pruning, importance accumulation,
+        and the output FC.
         """
+        if len(x) != 1:
+            raise ValueError("decode processes exactly one token")
+        self._decode_control(layer_idx, positions)
+        q_live, k_live, v_live = self._project_live(model, layer_idx, x)
         cfg = self._model_config
         layer_cache = self._cache[layer_idx]
         k_full = np.zeros((cfg.n_heads, 1, cfg.head_dim))
@@ -460,27 +442,10 @@ class SpAttenExecutor(AttentionExecutor):
         k_use = layer_cache.keys[self._alive_heads]
         v_use = layer_cache.values[self._alive_heads]
         probs, lsb_fraction = self._attention_probs(q_live, k_use, mask=None)
-        v_used = self._quantize_values(v_use)
-        return self._finish_layer_merged(
-            model, layer_idx, probs, v_used, key_ids, positions,
-            lsb_fraction, "decode",
+        output, record = self._finish_layer(
+            model, layer_idx, probs, self._quantize_values(v_use), key_ids,
+            positions, lsb_fraction, "decode",
         )
-
-    def _run_decode(
-        self,
-        layer_idx: int,
-        model: TransformerModel,
-        x: np.ndarray,
-        positions: np.ndarray,
-    ) -> LayerExecution:
-        if len(x) != 1:
-            raise ValueError("decode processes exactly one token")
-        self._decode_control(layer_idx, positions)
-        q_live, k_live, v_live = self._project_live(model, layer_idx, x)
-        merged, record = self._decode_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions
-        )
-        output = model.attention(layer_idx).project_merged(merged)
         return LayerExecution(output, record, np.arange(1))
 
     # ------------------------------------------------------------------
@@ -493,37 +458,247 @@ class SpAttenExecutor(AttentionExecutor):
 
     @property
     def packed_decode_style(self) -> str:
-        """The backend supplies projections; SpAtten runs its own core.
+        """``"spatten"``: the backend runs :class:`SpAttenDecodeBatch`.
 
-        Cascade pruning decisions, per-sequence surviving-head gathers,
-        progressive quantization (whose scales are data-dependent), and
-        trace accounting are inherently per-sequence, so only the
-        projections and the output FC are batched for this executor.
+        The packed backend projects every row at once and hands all
+        SpAtten rows of a step to one batch-level core, which commits
+        the looped path's pruning decisions, KV evictions, importance
+        updates, and trace steps bit for bit (non-causal models keep
+        no cache and fall back to ``run_layer``).
         """
-        return "custom" if self._cache is not None else "none"
+        return "spatten" if self._cache is not None else "none"
 
-    def decode_attend_packed(
+
+class SpAttenDecodeBatch:
+    """One packed decode step of every SpAtten row in a batch.
+
+    :class:`~repro.nn.batched_attention.PackedDecodeBackend` builds one
+    per step from the rows whose style is ``"spatten"``, calls
+    :meth:`decode_layer` once per layer, and :meth:`finish` after the
+    last one.  The looped :meth:`SpAttenExecutor.run_layer` path stays
+    the oracle; this core reproduces it bit for bit under ``exact``.
+
+    Step-scoped planes hold the per-row control state: cumulative token
+    importance and the live-token mask over positions (``[B, P]``),
+    head importance and the live-head mask (``[B, H]``).  Each discrete
+    decision is one :func:`~repro.core.topk.topk_rows` call per layer
+    over all rows — token pruning with the query token forced in, head
+    pruning, and the local value top-k over every live head — and KV
+    eviction is a mask lookup instead of ``np.isin``.  The float math
+    keeps the oracle's grouping:
+
+    * scores, softmax denominators, and A·V run per sequence at exact
+      lengths (BLAS and pairwise sums are not padding-invariant),
+      stacked over heads; max, exp and normalization run over the
+      padded plane (elementwise or order-exact);
+    * importance sums add dead heads and padding as exact zeros, so
+      the head-order accumulation matches the oracle's live-head sum.
+
+    Rows with progressive quantization (``quant``) keep their
+    per-sequence probability and V-quantization path inside the core.
+    No :class:`~repro.nn.attention.AttentionRecord` is built — the
+    serving engine reads only counts — but every row's trace still gets
+    one :class:`~repro.core.trace.LayerStep` per layer.
+    """
+
+    def __init__(
+        self, executors: List[SpAttenExecutor], positions: np.ndarray
+    ):
+        for e in executors:
+            if e._original_length is None:
+                raise RuntimeError(
+                    "decode before summarize; call encode/generate"
+                )
+        n = len(executors)
+        self._executors = executors
+        self._rows = np.arange(n)
+        self._positions = positions
+        cfg = executors[0]._model_config
+        self._head_dim = cfg.head_dim
+        # Layer-0 admission: the new token enters every live set.
+        for e in executors:
+            e._total_length += 1
+            e.trace.n_generated += 1
+        self._total = np.array([e._total_length for e in executors])
+        score_lens = np.array([len(e.token_acc) for e in executors])
+        # Importance arrays grow to cover the new position, as the
+        # looped path's scores_for/accumulate do.
+        self._score_lens = np.maximum(score_lens, positions + 1)
+        width = int(self._score_lens.max())
+        self._tok = np.zeros((n, width))
+        self._alive = np.zeros((n, width), dtype=bool)
+        for b, e in enumerate(executors):
+            self._tok[b, : score_lens[b]] = e.token_acc._scores
+            self._alive[b, e._alive_tokens] = True
+        self._alive[self._rows, positions] = True
+        self._query = np.zeros_like(self._alive)
+        self._query[self._rows, positions] = True
+        self._heads = np.array([e.head_acc._scores for e in executors])
+        self._head_ids = [e._alive_heads for e in executors]
+        self._head_alive = np.zeros(self._heads.shape, dtype=bool)
+        for b, ids in enumerate(self._head_ids):
+            self._head_alive[b, ids] = True
+        self._fracs = np.array([e._token_fracs for e in executors])
+        self._head_targets = np.array([e._head_counts for e in executors])
+        self._min_tokens = np.array([e.pruning.min_tokens for e in executors])
+        self._value_keep = np.array([e.pruning.value_keep for e in executors])
+        self._quant_rows = [
+            b for b, e in enumerate(executors) if e.quant is not None
+        ]
+
+    def _control(self, layer_idx: int) -> List[object]:
+        """Token + head pruning and KV eviction; returns the layer caches."""
+        # --- cascade token pruning (decode_token_target, vectorized) ---
+        floor = np.minimum(self._total, np.maximum(1, self._min_tokens))
+        target = np.maximum(
+            np.rint(self._fracs[:, layer_idx] * self._total).astype(np.int64),
+            floor,
+        )
+        n_alive = self._alive.sum(axis=1)
+        if (target < n_alive).any():
+            keep = np.maximum(np.minimum(target, n_alive), 1)
+            self._alive = topk_rows(
+                np.where(self._alive, self._tok, -np.inf), keep,
+                forced=self._query,
+            )
+
+        # --- cascade head pruning -------------------------------------
+        target = self._head_targets[:, layer_idx]
+        n_alive = self._head_alive.sum(axis=1)
+        pruning = target < n_alive
+        if pruning.any():
+            self._head_alive = topk_rows(
+                np.where(self._head_alive, self._heads, -np.inf),
+                np.clip(target, 1, n_alive),
+            )
+            for b in np.flatnonzero(pruning):
+                self._head_ids[b] = np.flatnonzero(self._head_alive[b])
+
+        # --- evict pruned tokens from this layer's caches ---------------
+        caches = [e._cache[layer_idx] for e in self._executors]
+        lens = np.array([len(c) for c in caches])
+        row_of = np.repeat(self._rows, lens)
+        member = self._alive[row_of, np.concatenate([c.token_ids for c in caches])]
+        n_member = np.bincount(row_of, weights=member, minlength=len(caches))
+        evict = np.flatnonzero(n_member < lens)
+        if len(evict):
+            ends = np.cumsum(lens)
+            for b in evict:
+                caches[b].keep(
+                    np.flatnonzero(member[ends[b] - lens[b] : ends[b]])
+                )
+        return caches
+
+    def decode_layer(
         self,
         layer_idx: int,
-        model: TransformerModel,
-        q_full: np.ndarray,
-        k_full: np.ndarray,
-        v_full: np.ndarray,
-        positions: np.ndarray,
+        q: np.ndarray,
+        k: np.ndarray,
+        v: np.ndarray,
+        append_kv,
     ) -> np.ndarray:
-        """Per-sequence decode core on backend-projected full-width rows.
+        """One layer for every row; returns merged features ``[B, h*D]``.
 
-        Gathers the surviving-head slices from the full-width
-        projections — bit-identical to :meth:`_project_live`'s
-        project-then-gather, since per-head projections are independent
-        output columns — and runs exactly the looped control + attend
-        path, returning the merged pre-projection features ``[1, h*D]``.
+        ``q``/``k``/``v`` are the rows' full-width projections
+        ``[B, h, D]``.  ``append_kv(caches, k_cols, v_cols, positions)``
+        is the backend's KV append, so int8 rows share its fused
+        quantization pass; the new columns are staged in fp64 with dead
+        heads zeroed — exactly what the looped path appends.
         """
-        self._decode_control(layer_idx, positions)
-        q_live = q_full[self._alive_heads]
-        k_live = k_full[self._alive_heads]
-        v_live = v_full[self._alive_heads]
-        merged, _ = self._decode_attend_merged(
-            layer_idx, model, q_live, k_live, v_live, positions
+        executors = self._executors
+        n = len(executors)
+        caches = self._control(layer_idx)
+        kv = np.zeros((2,) + k.shape)
+        kv[0] = k
+        kv[1] = v
+        kv[:, ~self._head_alive] = 0.0
+        append_kv(caches, kv[0], kv[1], self._positions)
+
+        # --- scores and softmax (all heads; dead ones zeroed after) -----
+        lens = np.array([len(c) for c in caches])
+        max_len = int(lens.max())
+        scores = np.empty(q.shape[:2] + (1, max_len), dtype=q.dtype)
+        if lens.min() < max_len:
+            scores[..., lens.min() :] = _MASKED
+        q4 = q[:, :, None, :]
+        for b, cache in enumerate(caches):
+            np.matmul(
+                q4[b], cache.keys.transpose(0, 2, 1),
+                out=scores[b, :, :, : lens[b]],
+            )
+        probs = scores / np.sqrt(self._head_dim)
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        denom = np.empty(probs.shape[:2] + (1, 1))
+        for b, length in enumerate(lens):
+            np.add.reduce(
+                probs[b, :, :, :length], axis=-1, keepdims=True, out=denom[b]
+            )
+        probs /= denom
+        probs *= self._head_alive[:, :, None, None]
+        probs = probs[:, :, 0, :]
+        lsb = [0.0] * n
+        quant_values = {}
+        for b in self._quant_rows:
+            # Progressive quantization: the per-sequence probability
+            # path (data-dependent scales) and quantized V.
+            e, ids, length = executors[b], self._head_ids[b], lens[b]
+            row, lsb[b] = e._attention_probs(
+                q4[b][ids], caches[b].keys[ids], mask=None
+            )
+            probs[b] = 0.0
+            probs[b, ids, :length] = row[:, 0, :]
+            quant_values[b] = e._quantize_values(caches[b].values[ids])
+
+        # --- local value pruning over the live heads, head-stacked A·V ----
+        n_values = np.maximum(
+            np.ceil(self._value_keep * lens).astype(np.int64),
+            np.minimum(1, lens),
         )
-        return merged
+        live_b, live_h = np.nonzero(self._head_alive)
+        live = probs[live_b, live_h]
+        kept = topk_rows(live, n_values[live_b])
+        kept_p = live[kept]
+        kept_cols = np.nonzero(kept)[1]
+        out = np.empty((len(live_b), 1, self._head_dim))
+        head = flat = 0
+        for b, cache in enumerate(caches):
+            ids = self._head_ids[b]
+            h, kb = len(ids), int(n_values[b])
+            executors[b].trace.add(
+                LayerStep(
+                    layer=layer_idx, stage="decode", n_queries=1,
+                    n_keys=int(lens[b]), n_heads=h, n_values=kb,
+                    lsb_fraction=lsb[b],
+                )
+            )
+            span = slice(flat, flat + h * kb)
+            cols = kept_cols[span].reshape(h, kb)
+            if b in quant_values:
+                vals = quant_values[b][np.arange(h)[:, None], cols]
+            else:
+                vals = cache.values[ids[:, None], cols]
+            np.matmul(
+                kept_p[span].reshape(h, 1, kb), vals,
+                out=out[head : head + h],
+            )
+            head += h
+            flat += h * kb
+        head_out = np.zeros(probs.shape[:2] + (self._head_dim,))
+        head_out[live_b, live_h] = out[:, 0, :]
+
+        # --- importance: one scatter-add per plane ------------------------
+        self._heads += np.abs(head_out).sum(axis=-1)
+        row_of = np.repeat(self._rows, lens)
+        cols = np.arange(len(row_of)) - np.repeat(np.cumsum(lens) - lens, lens)
+        ids = np.concatenate([c.token_ids for c in caches])
+        self._tok[row_of, ids] += probs.sum(axis=1)[row_of, cols]
+        return head_out.reshape(n, -1)
+
+    def finish(self) -> None:
+        """Write the step's planes back to the executors."""
+        for b, e in enumerate(self._executors):
+            e.token_acc._scores = self._tok[b, : self._score_lens[b]].copy()
+            e._alive_tokens = np.flatnonzero(self._alive[b])
+            e.head_acc._scores = self._heads[b].copy()
+            e._alive_heads = self._head_ids[b]

@@ -8,6 +8,10 @@ implements the *functional* algorithms that the rest of the library uses:
 * :func:`topk_indices` — order-preserving top-k, the semantic ground
   truth everything is tested against (the hardware engine "keeps the
   original order of inputs").
+* :func:`topk_rows` — the same selection for every row of a padded
+  plane at once, as a keep mask (the batched decode core's token, head
+  and value top-k; one stable sort per call, like the paper's parallel
+  top-k engine serving many rankings).
 * :func:`quick_select_kth` — the paper's Algorithm 3 as a pure function,
   returning the k-th largest value and the tie budget, along with the
   per-round partition sizes that drive the cycle model in
@@ -30,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "topk_indices",
+    "topk_rows",
     "quick_select_kth",
     "filter_topk",
     "QuickSelectStats",
@@ -53,6 +58,51 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     # Stable selection: sort by (-score, index) and take the first k.
     order = np.lexsort((np.arange(n), -scores))
     return np.sort(order[:k]).astype(np.int64)
+
+
+def topk_rows(
+    scores: np.ndarray, k, forced: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Row-wise :func:`topk_indices` over a padded ``[..., N]`` plane.
+
+    Returns a boolean keep mask shaped like ``scores``: row ``r`` keeps
+    its ``k[r]`` largest entries (``k`` broadcasts against
+    ``scores.shape[:-1]`` and is clipped to ``[0, N]``), ties broken
+    toward earlier columns — on every row exactly the columns
+    ``topk_indices(row, k[r])`` returns.  Rows shorter than ``N`` are
+    padded with ``-inf`` after their last entry; padding ranks behind
+    every real entry, so it is kept only when ``k`` exceeds the row's
+    length.  Scores must not be NaN.
+
+    ``forced`` (same shape as ``scores``, boolean) marks entries that
+    rank ahead of all others (real scores must be below ``+inf``) and
+    count toward ``k`` — the protected query token of cascade token
+    pruning.
+
+    Like the hardware engine (:func:`quick_select_kth` then
+    :func:`filter_topk`), each row finds its k-th largest value — here
+    with one sort of the whole plane — then keeps every entry above it
+    plus the first ties in stream order.
+    """
+    scores = np.asarray(scores)
+    shape = scores.shape
+    n = shape[-1]
+    s = scores.reshape(-1, n)
+    if forced is not None:
+        s = np.where(forced.reshape(-1, n), np.inf, s)
+    k = np.clip(np.broadcast_to(k, shape[:-1]), 0, n).reshape(-1)
+    rows = np.arange(len(s))
+    kth = np.sort(s, axis=-1)[rows, n - np.maximum(k, 1)][:, None]
+    above = s > kth
+    equal = s == kth
+    keep = above | equal
+    excess = np.flatnonzero(np.count_nonzero(keep, axis=-1) > k)
+    if len(excess):
+        # More ties at the k-th value than slots left: keep the first.
+        need = k[excess] - np.count_nonzero(above[excess], axis=-1)
+        first = np.cumsum(equal[excess], axis=-1) <= need[:, None]
+        keep[excess] = above[excess] | (equal[excess] & first)
+    return keep.reshape(shape)
 
 
 @dataclass

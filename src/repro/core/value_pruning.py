@@ -29,9 +29,13 @@ def local_value_keep_indices(
         min_keep: lower bound on kept vectors per head.
 
     Returns:
-        A list of ``h`` sorted index arrays into the L1 axis.  Ranking is
-        by the head's total probability mass per key column (for the
+        A list of ``h`` sorted ``int64`` index arrays into the L1 axis,
+        each of the same length (``keep_count``).  Ranking is by the
+        head's total probability mass per key column (for the
         generation stage L0 == 1, matching the paper's per-query use).
+        This per-head loop is the looped oracle's; the packed decode
+        core makes the same selection for every live head of every row
+        at once, as one :func:`~repro.core.topk.topk_rows` keep mask.
     """
     probs = np.asarray(probs)
     if probs.ndim != 3:
@@ -62,7 +66,10 @@ def apply_local_value_pruning(
         kept_per_head: output of :func:`local_value_keep_indices`.
 
     Returns:
-        ``(head_outputs [h, L0, D], kept_counts [h])``.
+        ``(head_outputs [h, L0, D], kept_counts [h])``: ``head_outputs``
+        is always ``float64`` (the oracle's dtype, whatever the inputs'
+        dtype); ``kept_counts`` is ``int64``, one count per head (equal
+        across heads for :func:`local_value_keep_indices` output).
     """
     probs = np.asarray(probs)
     values = np.asarray(values)

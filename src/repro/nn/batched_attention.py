@@ -15,6 +15,10 @@ as a single batch-level BLAS call does:
   sequence's new K/V column to its
   :class:`~repro.nn.kv_cache.LayerKVCache` and runs scores, the masked
   softmax, and A·V for all of them at once;
+* **batched SpAtten core** — every SpAtten row of the step goes through
+  one :class:`~repro.core.pipeline.SpAttenDecodeBatch` call per layer:
+  token, head, and local value top-k over padded planes, KV eviction by
+  mask lookup, head-stacked A·V, and one importance scatter-add;
 * **fused output FC** — one ``[B, h·D] @ [d, d]`` product replaces
   ``B`` per-sequence projections;
 * **fused chunk projection** — during chunked prefill, the Q/K/V
@@ -26,21 +30,24 @@ One stack, three tier-selected points
 
 Rows are grouped by
 :attr:`~repro.nn.transformer.AttentionExecutor.packed_decode_style`
-once per step: dense caches run the central core above; SpAtten
-executors (``"custom"``) run their own per-sequence core (cascade
-pruning decisions, progressive quantization, trace accounting) on
-backend-supplied projections; anything else (``"none"``) falls back to
-an fp64 ``run_layer`` row.  That dispatch, the central KV append, and
-the :class:`~repro.telemetry.HotPathProfiler` stops are written once
-for every :class:`~repro.nn.numerics.NumericsPolicy` tier.  The
-policy's ``is_exact`` flag picks between two implementations at
-exactly three points:
+once per step: ``"dense"`` caches run the central core above;
+``"spatten"`` rows run the batched SpAtten core on backend-supplied
+projections, their new K/V columns appended (and, under int8,
+quantized) by the same fused append as the dense rows; ``"none"``
+rows fall back to an fp64 ``run_layer`` call each.  That dispatch, the
+central KV append, and the :class:`~repro.telemetry.HotPathProfiler`
+stops are written once for every
+:class:`~repro.nn.numerics.NumericsPolicy` tier.  The policy's
+``is_exact`` flag picks between two implementations at exactly three
+points:
 
 1. **QKV / output GEMM kernel** — the ``[B, 1, d]`` gufunc (exact) or
    one 2-D GEMM (cast tiers);
 2. **attention core** — :meth:`PackedDecodeBackend._dense_core` over
    exact-length cache views, or
-   :meth:`PackedDecodeBackend._dense_core_policy` over a padded arena;
+   :meth:`PackedDecodeBackend._dense_core_policy` over a padded arena
+   (the SpAtten core runs its looped path's math on every tier: scores
+   in the projections' dtype, softmax, A·V, and importance in fp64);
 3. **LN / FFN / LM-head math** — :func:`repro.nn.functional.layer_norm`
    and the model's FFN over the fp64 weights, or the in-place
    compute-dtype versions over weights cast once at construction.
@@ -373,33 +380,35 @@ class PackedDecodeBackend:
             norm, ffn = _policy_layer_norm, self._ffn_policy
         # Executor styles cannot change mid-step: group rows once and
         # reuse the grouping across every layer.
-        dense_rows: List[Tuple[int, AttentionExecutor]] = []
-        custom_rows: List[Tuple[int, AttentionExecutor]] = []
-        fallback_rows: List[Tuple[int, AttentionExecutor]] = []
+        groups: Dict[str, List[Tuple[int, AttentionExecutor]]] = {
+            "dense": [], "spatten": [], "none": [],
+        }
         for i, executor in enumerate(executors):
             style = executor.packed_decode_style
-            if style == "dense":
-                dense_rows.append((i, executor))
-            elif style == "custom":
-                custom_rows.append((i, executor))
-            elif style == "none":
-                fallback_rows.append((i, executor))
-            else:
+            if style not in groups:
                 raise ValueError(
                     f"unknown packed_decode_style {style!r} from "
                     f"{type(executor).__name__}"
                 )
-        # All-dense batches (the common serving case) index with plain
-        # slices — views, not fancy-index copies.
-        dense_sel = (
-            slice(None) if len(dense_rows) == len(executors)
-            else [i for i, _ in dense_rows]
-        )
+            groups[style].append((i, executor))
+        # A group that is the whole batch (the common serving case)
+        # indexes with a plain slice — views, not fancy-index copies.
+        sel = {
+            style: slice(None) if len(rows) == len(executors)
+            else [i for i, _ in rows]
+            for style, rows in groups.items()
+        }
+        spatten = None
+        if groups["spatten"]:
+            from ..core.pipeline import SpAttenDecodeBatch
+
+            spatten = SpAttenDecodeBatch(
+                [e for _, e in groups["spatten"]], positions[sel["spatten"]]
+            )
         x = w.tok_emb[token_ids] + w.pos_emb[positions]
         for layer_idx in range(model.config.n_layers):
             attn_out = self._decode_layer(
-                model, layer_idx, x, positions,
-                dense_rows, dense_sel, custom_rows, fallback_rows,
+                model, layer_idx, x, positions, groups, sel, spatten,
             )
             # Residual adds run in place on the freshly produced left
             # operand (attn/FFN output buffers are never aliased to x;
@@ -409,6 +418,8 @@ class PackedDecodeBackend:
             ffn_out = ffn(layer_idx, x)
             ffn_out += x
             x = norm(ffn_out, w.ln2_g[layer_idx], w.ln2_b[layer_idx])
+        if spatten is not None:
+            spatten.finish()
         return x @ w.lm_proj
 
     def _gemm(self, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -432,10 +443,9 @@ class PackedDecodeBackend:
         layer_idx: int,
         x: np.ndarray,
         positions: np.ndarray,
-        dense_rows: List[Tuple[int, AttentionExecutor]],
-        dense_sel,
-        custom_rows: List[Tuple[int, AttentionExecutor]],
-        fallback_rows: List[Tuple[int, AttentionExecutor]],
+        groups: Dict[str, List[Tuple[int, AttentionExecutor]]],
+        sel: Dict[str, object],
+        spatten,
     ) -> np.ndarray:
         """Packed attention of one block: ``attn_out [B, d_model]``."""
         cfg = model.config
@@ -456,26 +466,28 @@ class PackedDecodeBackend:
         # overwritten below; opt-out executors are rare enough that the
         # wasted rows cost less than gathering the batch around them.
         merged = self._rows("merged", batch)
-        for i, executor in custom_rows:
+        if spatten is not None:
             t0 = prof.start() if prof is not None else 0.0
-            merged[i] = executor.decode_attend_packed(
-                layer_idx, model,
-                q_all[i][:, None, :], k_all[i][:, None, :],
-                v_all[i][:, None, :], positions[i : i + 1],
+            rows = sel["spatten"]
+            merged[rows] = spatten.decode_layer(
+                layer_idx, q_all[rows], k_all[rows], v_all[rows],
+                self._append_kv,
             )
             if prof is not None:
-                prof.stop("decode_custom_core", t0)
-        if dense_rows:
+                prof.stop("decode_spatten_core", t0)
+        if groups["dense"]:
             t0 = prof.start() if prof is not None else 0.0
-            caches, lens, k_cols, v_cols = self._append_dense(
-                layer_idx, dense_rows, dense_sel, k_all, v_all, positions
+            rows = sel["dense"]
+            caches = [e.decode_kv_cache(layer_idx) for _, e in groups["dense"]]
+            lens, k_cols, v_cols = self._append_kv(
+                caches, k_all[rows], v_all[rows], positions[rows]
             )
             if self.policy.is_exact:
-                self._dense_core(q_all[dense_sel], caches, lens, merged, dense_sel)
+                self._dense_core(q_all[rows], caches, lens, merged, rows)
             else:
                 self._dense_core_policy(
-                    layer_idx, q_all[dense_sel], caches, lens,
-                    k_cols, v_cols, merged, dense_sel,
+                    layer_idx, q_all[rows], caches, lens,
+                    k_cols, v_cols, merged, rows,
                 )
             if prof is not None:
                 prof.stop("decode_dense_core", t0)
@@ -484,7 +496,7 @@ class PackedDecodeBackend:
         attn_out = self._gemm(merged, w.wo[layer_idx], w.bo[layer_idx])
         if prof is not None:
             prof.stop("decode_output_fc", t0)
-        for i, executor in fallback_rows:
+        for i, executor in groups["none"]:
             t0 = prof.start() if prof is not None else 0.0
             attn_out[i] = executor.run_layer(
                 layer_idx, model,
@@ -497,38 +509,41 @@ class PackedDecodeBackend:
                 prof.stop("decode_fallback", t0)
         return attn_out
 
-    def _append_dense(
+    def _append_kv(
         self,
-        layer_idx: int,
-        dense_rows: List[Tuple[int, AttentionExecutor]],
-        dense_sel,
-        k_all: np.ndarray,
-        v_all: np.ndarray,
+        caches: List[object],
+        k_cols: np.ndarray,
+        v_cols: np.ndarray,
         positions: np.ndarray,
     ):
-        """Append this step's K/V column to every dense row's cache.
+        """Append one decode column (``[h, D]`` per plane) to each cache.
 
-        Returns ``(caches, lens, k_cols, v_cols)``: the layer caches in
-        dense-row order, their new lengths, and the appended columns as
-        the cast-tier arena will read them.  Under int8 the whole
-        batch's k and v rows are quantized in *one* fused pass —
-        inlined :func:`repro.core.quantization.quantize_rows`
-        (bit-identical codes and scales, asserted by
-        tests/test_numerics.py) over persistent scratch: every op runs
-        in place, and the finite-input guard is skipped because decode
-        activations are bounded by construction (LayerNormed hidden
-        state through finite weights).  The arena then reads the
-        dequantized columns, matching what the caches store.
+        Returns ``(lens, k_cols, v_cols)``: the caches' new lengths and
+        the appended columns as the cast-tier arena will read them.
+        Under int8 the whole group's k and v rows are quantized in
+        *one* fused pass — inlined
+        :func:`repro.core.quantization.quantize_rows` (bit-identical
+        codes and scales for input of the staged rows' dtype, asserted
+        by tests/test_numerics.py) over persistent scratch: every op
+        runs in place, and the finite-input guard is skipped because
+        decode activations are bounded by construction (LayerNormed
+        hidden state through finite weights).  The arena then reads the
+        dequantized columns, matching what the caches store.  SpAtten
+        rows stage fp64 columns (what their looped path quantizes), so
+        their quotients run in fp64 scratch of their own.
         """
-        n = len(dense_rows)
+        n = len(caches)
         quantized = self.policy.quantized_gemm
         if quantized:
-            kv_rows = self._rows("kv_rows", 2 * n)
-            kv_rows[:n] = k_all[dense_sel]
-            kv_rows[n:] = v_all[dense_sel]
-            codes_f, scales, codes = (
-                self._rows(name, 2 * n) for name in ("codes_f", "scales", "codes")
-            )
+            if k_cols.dtype == self.policy.compute_dtype:
+                kv_rows = self._rows("kv_rows", 2 * n)
+                codes_f = self._rows("codes_f", 2 * n)
+            else:
+                kv_rows = np.empty((2 * n,) + k_cols.shape[1:], k_cols.dtype)
+                codes_f = np.empty_like(kv_rows)
+            kv_rows[:n] = k_cols
+            kv_rows[n:] = v_cols
+            scales, codes = self._rows("scales", 2 * n), self._rows("codes", 2 * n)
             np.abs(kv_rows, out=codes_f)
             np.fmax.reduce(codes_f, axis=-1, keepdims=True, out=scales)
             np.divide(scales, 127.0, out=scales)
@@ -546,23 +561,17 @@ class PackedDecodeBackend:
             v_cols = kv_rows[n:]
             k_codes, k_scales = codes[:n], scales[:n, :, 0]
             v_codes, v_scales = codes[n:], scales[n:, :, 0]
-        else:
-            k_cols = k_all[dense_sel]
-            v_cols = v_all[dense_sel]
         lens = np.empty(n, dtype=np.int64)
-        caches = []
-        for j, (i, executor) in enumerate(dense_rows):
-            cache = executor.decode_kv_cache(layer_idx)
+        for j, cache in enumerate(caches):
             if quantized:
                 cache.append_decode_col_quantized(
                     k_codes[j], k_scales[j],
-                    v_codes[j], v_scales[j], positions[i],
+                    v_codes[j], v_scales[j], positions[j],
                 )
             else:
-                cache.append_decode_col(k_cols[j], v_cols[j], positions[i])
-            caches.append(cache)
+                cache.append_decode_col(k_cols[j], v_cols[j], positions[j])
             lens[j] = cache._len
-        return caches, lens, k_cols, v_cols
+        return lens, k_cols, v_cols
 
     def _dense_core(
         self,

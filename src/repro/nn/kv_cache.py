@@ -349,7 +349,7 @@ class LayerKVCache:
         """
         column_indices = np.asarray(column_indices, dtype=np.int64).reshape(-1)
         if len(column_indices):
-            if not np.all(np.diff(column_indices) > 0):
+            if (column_indices[1:] <= column_indices[:-1]).any():
                 raise ValueError("column_indices must be strictly increasing")
             if column_indices[0] < 0 or column_indices[-1] >= len(self):
                 raise ValueError(
@@ -359,13 +359,12 @@ class LayerKVCache:
         n_kept = len(column_indices)
         self.evicted_tokens += self._len - n_kept
         if n_kept < self._len:
-            # Advanced indexing on the right materializes the survivors
-            # before assignment, so the overlapping copy is safe.
-            self._keys[:, :n_kept] = self._keys[:, column_indices]
-            self._values[:, :n_kept] = self._values[:, column_indices]
-            if self.quantized:
-                self._kscales[:, :n_kept] = self._kscales[:, column_indices]
-                self._vscales[:, :n_kept] = self._vscales[:, column_indices]
+            # np.take materializes the survivors before assignment, so
+            # the overlapping copy is safe.
+            for plane in (self._keys, self._values) + (
+                (self._kscales, self._vscales) if self.quantized else ()
+            ):
+                plane[:, :n_kept] = np.take(plane, column_indices, axis=1)
             self._token_ids[:n_kept] = self._token_ids[column_indices]
             self._len = n_kept
             self._tail_dirty = True

@@ -140,10 +140,12 @@ class AttentionExecutor:
           :meth:`decode_kv_cache`; the backend appends the new column
           itself and runs the whole attention core (scores, softmax,
           A·V) centrally over the batch.
-        * ``"custom"`` — the backend supplies full-width projections and
-          the executor runs its own per-sequence core via
-          :meth:`decode_attend_packed` (pruning decisions, progressive
-          quantization, trace accounting).
+        * ``"spatten"`` — a :class:`~repro.core.pipeline.SpAttenExecutor`;
+          the backend hands every such row of a step to one batch-level
+          core, :class:`~repro.core.pipeline.SpAttenDecodeBatch`
+          (cascade token/head pruning, eviction, local value pruning,
+          importance accumulation, progressive quantization, and trace
+          steps for all rows at once), called once per layer.
 
         Whatever the style, the packed result must be bit-identical to
         the looped :meth:`run_layer` path — the backend only batches
@@ -174,25 +176,6 @@ class AttentionExecutor:
         The packed backend appends each decode column itself — batching
         the quantization of a whole step's new columns under int8 — and
         attends over the cache centrally.
-        """
-        raise NotImplementedError
-
-    def decode_attend_packed(
-        self,
-        layer_idx: int,
-        model: "TransformerModel",
-        q_full: np.ndarray,
-        k_full: np.ndarray,
-        v_full: np.ndarray,
-        positions: np.ndarray,
-    ) -> np.ndarray:
-        """Per-sequence decode core for a ``"custom"`` executor.
-
-        Receives the sequence's full-width projected ``q/k/v`` rows
-        (``[h, 1, D]`` each, bit-identical to what projecting this row
-        alone would produce) and returns the *merged pre-projection*
-        attention features ``[1, n_heads * head_dim]`` — the backend
-        applies the output FC over the whole batch in one matmul.
         """
         raise NotImplementedError
 

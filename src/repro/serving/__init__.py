@@ -49,7 +49,11 @@ Layers of the subsystem
   Every mixed step's decode attention runs with fused batch-level
   Q/K/V and output-FC matmuls plus a central attention core over
   zero-copy views of preallocated KV buffers, instead of ``B ×
-  n_layers`` single-row ``run_layer`` calls.  ``"looped"`` keeps the
+  n_layers`` single-row ``run_layer`` calls; SpAtten rows share one
+  batched cascade core per layer
+  (:class:`~repro.core.pipeline.SpAttenDecodeBatch`: token, head and
+  value top-k, eviction, and importance for every row at once).
+  ``"looped"`` keeps the
   per-sequence path as the bit-identity oracle: both backends commit
   identical token streams and identical simulated-clock stats — the
   packed one in less wall time (``benchmarks/bench_decode_step.py``).

@@ -13,10 +13,19 @@ packed decode hot path".  :class:`HotPathProfiler` measures that with
   ``exact``, one 2-D ``[B,d]`` GEMM otherwise);
 * ``decode_dense_core`` — the dense rows' KV append plus
   scores/softmax/A·V (exact-length cache views, or the arena);
-* ``decode_custom_core`` — SpAtten executors' per-sequence cores;
+* ``decode_spatten_core`` — the batched SpAtten core (one call per
+  layer for every SpAtten row: pruning decisions, eviction, KV append,
+  attention, importance);
 * ``decode_output_fc`` — the fused output projection;
 * ``decode_fallback`` — opt-out executors' ``run_layer`` rows;
 * ``prefill_chunk_proj`` — the fused chunked-prefill projections.
+
+Shares are taken against end-to-end wall time when the caller wraps the
+run in :meth:`HotPathProfiler.wall_clock` (``repro serve --profile``
+does): an ``unattributed`` row then holds the wall time outside every
+stage — FFN, LayerNorm, LM head, prefill, scheduling, telemetry — so
+the rows add up to the run.  Both clock reads live here, the one
+sanctioned wall-clock module.
 
 Wall times are inherently nondeterministic, so profiler output is kept
 *out* of the trace and metrics artifacts (whose bytes must reproduce);
@@ -28,7 +37,8 @@ per stage — the off path stays allocation-free.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..eval.reporting import Table
 
@@ -38,9 +48,13 @@ __all__ = ["HotPathProfiler"]
 class HotPathProfiler:
     """Accumulates wall-clock (calls, seconds) per named stage."""
 
+    #: Row name of the wall time no stage covers.
+    UNATTRIBUTED = "unattributed"
+
     def __init__(self) -> None:
         self._calls: Dict[str, int] = {}
         self._seconds: Dict[str, float] = {}
+        self._wall: Optional[float] = None
 
     # The backend calls these inline — start/stop, not a context
     # manager, to keep per-stage overhead to two perf_counter reads.
@@ -51,6 +65,19 @@ class HotPathProfiler:
         dt = time.perf_counter() - t0
         self._calls[stage] = self._calls.get(stage, 0) + 1
         self._seconds[stage] = self._seconds.get(stage, 0.0) + dt
+
+    @contextmanager
+    def wall_clock(self) -> Iterator[None]:
+        """Measure the enclosed run's end-to-end wall time.
+
+        Repeated runs accumulate.  Once measured, :meth:`as_rows` adds
+        the ``unattributed`` row and takes shares against this time.
+        """
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._wall = (self._wall or 0.0) + time.perf_counter() - t0
 
     # ------------------------------------------------------------------
     # Read side
@@ -67,15 +94,31 @@ class HotPathProfiler:
 
     @property
     def total_seconds(self) -> float:
+        """Seconds inside every stage (the staged time)."""
         return sum(self._seconds.values())
 
+    @property
+    def wall_seconds(self) -> Optional[float]:
+        """End-to-end wall time from :meth:`wall_clock`, or ``None``."""
+        return self._wall
+
     def as_rows(self) -> List[Tuple[str, int, float, float]]:
-        """(stage, calls, seconds, share) sorted by descending cost."""
-        total = self.total_seconds or 1.0
+        """(stage, calls, seconds, share) sorted by descending cost.
+
+        With a measured wall time the rows include ``unattributed``
+        (wall minus staged time, 0 calls) and sum to the wall time;
+        shares are fractions of it.  Otherwise shares are fractions of
+        the staged time.
+        """
+        seconds = dict(self._seconds)
+        calls = dict(self._calls)
+        if self._wall is not None:
+            seconds[self.UNATTRIBUTED] = self._wall - self.total_seconds
+            calls[self.UNATTRIBUTED] = 0
+        total = sum(seconds.values()) or 1.0
         rows = [
-            (stage, self._calls[stage], self._seconds[stage],
-             self._seconds[stage] / total)
-            for stage in self._calls
+            (stage, calls[stage], seconds[stage], seconds[stage] / total)
+            for stage in seconds
         ]
         rows.sort(key=lambda r: (-r[2], r[0]))
         return rows
@@ -93,4 +136,11 @@ class HotPathProfiler:
             "real time.perf_counter seconds around PackedDecodeBackend "
             "stages — separate from the simulated serving clock"
         )
+        if self._wall is not None:
+            t.add_note(
+                f"share of {self._wall * 1e3:.2f} ms end-to-end wall time; "
+                f"{self.UNATTRIBUTED} = wall time outside every stage"
+            )
+        else:
+            t.add_note("share of staged time (no end-to-end wall time taken)")
         return t

@@ -164,7 +164,7 @@ class TestNonExactTiers:
 
     DENSE_SPEC = [("dense", 5), ("dense", 23), ("dense", 11)]
     #: The mixed batch a non-exact fleet serves: arena-core dense rows
-    #: beside SpAtten custom cores and fp64 ``run_layer`` fallback rows
+    #: beside batched-SpAtten-core rows and fp64 ``run_layer`` fallback rows
     #: in one step.
     MIXED_SPEC = [("dense", 5), ("spatten", 30), ("fallback", 9),
                   ("quant", 12), ("dense", 23)]
@@ -326,6 +326,31 @@ class TestHotPathQuantization:
                 assert np.array_equal(codes_plane[:, pos], want_codes)
                 assert np.array_equal(scales_plane[:, pos],
                                       want_scales[:, 0])
+
+
+    def test_fused_quantization_follows_the_staged_dtype(self, decoder):
+        """SpAtten rows stage fp64 columns (what their looped path
+        quantizes), dense rows fp32; the fused pass must match
+        ``quantize_rows`` of each.  The two differ here: 2.7559054/s
+        rounds to 3.5 in fp32 (code 4) but stays below it in fp64
+        (code 3)."""
+        from repro.core.quantization import quantize_rows
+        from repro.nn.kv_cache import LayerKVCache
+
+        cfg = decoder.config
+        backend = PackedDecodeBackend(decoder, numerics="int8")
+        col32 = np.zeros((1, cfg.n_heads, cfg.head_dim), dtype=np.float32)
+        col32[0, 0, :2] = [100.0, 2.7559053897857666]
+        codes = []
+        for staged in (col32, col32.astype(np.float64)):
+            cache = LayerKVCache(cfg.n_heads, cfg.head_dim, dtype=np.int8)
+            backend._append_kv([cache], staged, staged, np.array([0]))
+            want_codes, want_scales = quantize_rows(staged[0], bits=8)
+            assert np.array_equal(cache._keys[:, 0], want_codes)
+            assert np.array_equal(cache._values[:, 0], want_codes)
+            assert np.array_equal(cache._kscales[:, 0], want_scales[:, 0])
+            codes.append(cache._keys[0, 0, :2].tolist())
+        assert codes == [[127, 4], [127, 3]]
 
 
 class TestServingEngineNumerics:

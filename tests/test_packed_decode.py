@@ -44,6 +44,12 @@ def backend(decoder):
 PRUNING = PruningConfig(
     token_keep_final=0.4, head_keep_final=0.5, value_keep=0.9
 )
+#: A gentler schedule: more live heads and a looser token budget, so a
+#: batch mixing both holds rows under their keep target beside rows
+#: that prune on the same step.
+LOOSE = PruningConfig(
+    token_keep_final=0.9, head_keep_final=1.0, value_keep=0.7
+)
 QUANT = QuantConfig(msb_bits=6, lsb_bits=4, progressive=True, threshold=0.1)
 
 
@@ -69,6 +75,8 @@ def _make_batch(model, spec, seed):
             executor = SpAttenExecutor(PRUNING)
         elif kind == "quant":
             executor = SpAttenExecutor(PRUNING, QUANT)
+        elif kind == "loose":
+            executor = SpAttenExecutor(LOOSE)
         else:  # pragma: no cover - spec typo guard
             raise ValueError(kind)
         prompt = rng.integers(0, model.config.vocab_size, size=prompt_len)
@@ -90,6 +98,17 @@ def _assert_same_state(looped, packed):
             assert np.array_equal(le._alive_tokens, pe._alive_tokens), i
             assert le.trace.n_generated == pe.trace.n_generated, i
             assert le.evicted_kv_tokens == pe.evicted_kv_tokens, i
+            # Importance and trace state, bit for bit (tobytes also
+            # tells -0.0 from 0.0, which array_equal does not).
+            for acc in ("token_acc", "head_acc"):
+                lr = getattr(le, acc).raw_scores
+                pr = getattr(pe, acc).raw_scores
+                assert lr.shape == pr.shape, (i, acc)
+                assert lr.tobytes() == pr.tobytes(), (i, acc)
+            assert (le.trace.count_signature()
+                    == pe.trace.count_signature()), i
+            assert ([s.lsb_fraction for s in le.trace.steps]
+                    == [s.lsb_fraction for s in pe.trace.steps]), i
 
 
 def _run_twin_decode(model, backend, spec, n_steps, seed=3):
@@ -131,6 +150,44 @@ def test_mixed_executor_batch_bit_identical(decoder, backend):
         ("fallback", 9), ("dense", 44), ("spatten", 6),
     ]
     _run_twin_decode(decoder, backend, spec, n_steps=8)
+
+
+def test_spatten_rows_differ_in_shape_and_pruning(decoder, backend):
+    """One step's SpAtten rows differ in length and live-head count, and
+    some are under their token keep target while others prune."""
+    spec = [("spatten", 40), ("loose", 7), ("quant", 26), ("loose", 40),
+            ("spatten", 9)]
+    looped = _make_batch(decoder, spec, seed=9)
+    heads = {len(e._alive_heads) for e in looped}
+    assert len(heads) > 1, "rows must differ in live-head count"
+    _run_twin_decode(decoder, backend, spec, n_steps=6, seed=9)
+    # Re-derive the first step's decisions: a loose short row is under
+    # its target while a tight long row prunes.
+    fresh = _make_batch(decoder, spec, seed=9)
+    before = [len(e._alive_tokens) for e in fresh]
+    decoder.decode_step_batch([7] * len(spec), [n for _, n in spec], fresh,
+                              backend=backend)
+    after = [len(e._alive_tokens) for e in fresh]
+    assert after[1] == before[1] + 1, "short loose row should keep all"
+    assert after[0] <= before[0], "tight row should prune"
+
+
+def test_decode_time_head_pruning_matches(decoder, backend):
+    """Head schedules only shrink, so after a prefill decode never prunes
+    heads; revive every head on both twins to drive the batched core's
+    head top-k against the oracle's."""
+    spec = [("spatten", 20), ("quant", 33), ("spatten", 12)]
+    looped = _make_batch(decoder, spec, seed=4)
+    packed = _make_batch(decoder, spec, seed=4)
+    n_heads = decoder.config.n_heads
+    for e in looped + packed:
+        e._alive_heads = np.arange(n_heads)
+    tokens, positions = [5] * len(spec), [n for _, n in spec]
+    ll = decoder.decode_step_batch(tokens, positions, looped)
+    pl = decoder.decode_step_batch(tokens, positions, packed, backend=backend)
+    assert np.array_equal(ll, pl)
+    assert all(len(e._alive_heads) < n_heads for e in packed)
+    _assert_same_state(looped, packed)
 
 
 def test_spatten_evictions_happen_and_match(decoder, backend):
@@ -244,7 +301,7 @@ def test_backend_rejects_foreign_model(decoder, backend):
 def test_spatten_rejects_precomputed_projections(decoder):
     executor = SpAttenExecutor(PRUNING)
     decoder.prefill([1, 2, 3, 4], executor)
-    with pytest.raises(ValueError, match="decode_attend_packed"):
+    with pytest.raises(ValueError, match="projects live heads itself"):
         executor.run_layer(
             0, decoder, np.zeros((1, 32)), np.array([4]), "decode",
             projected=(None, None, None),

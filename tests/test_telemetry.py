@@ -454,6 +454,33 @@ class TestProfiler:
         assert prof.calls("stage_a") == 1
         assert prof.seconds("stage_a") >= 0
 
+    def test_rows_sum_to_wall_time(self, serving_setup):
+        tel = Telemetry(profile=True)
+        prof = tel.profiler
+        assert prof.wall_seconds is None
+        requests = trace(serving_setup[2], n=6)
+        with prof.wall_clock():
+            run_engine(serving_setup, requests, telemetry=tel,
+                       attention_backend="packed")
+        rows = prof.as_rows()
+        by_stage = {stage: seconds for stage, _, seconds, _ in rows}
+        assert HotPathProfiler.UNATTRIBUTED in by_stage
+        assert by_stage[HotPathProfiler.UNATTRIBUTED] > 0
+        assert sum(by_stage.values()) == pytest.approx(prof.wall_seconds)
+        assert sum(share for *_, share in rows) == pytest.approx(1.0)
+        assert prof.wall_seconds >= prof.total_seconds
+        assert "end-to-end wall time" in str(prof.table())
+
+    def test_serve_profile_prints_wall_shares(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--mode", "spatten", "--requests", "4",
+                     "--layers", "1", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "decode_spatten_core" in out
+        assert "unattributed" in out
+        assert "end-to-end wall time" in out
+
 
 # ----------------------------------------------------------------------
 # trace-report rendering

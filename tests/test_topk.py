@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.topk import filter_topk, quick_select_kth, topk_indices
+from repro.core.head_pruning import prune_heads
+from repro.core.token_pruning import prune_tokens
+from repro.core.topk import (
+    filter_topk,
+    quick_select_kth,
+    topk_indices,
+    topk_rows,
+)
 
 score_arrays = hnp.arrays(
     np.float64,
@@ -113,3 +120,89 @@ class TestFilterTopk:
     def test_negative_budget_treated_as_zero(self):
         kept = filter_topk(np.array([2.0, 3.0]), 2.0, -1)
         assert np.array_equal(kept, [1])
+
+
+# ----------------------------------------------------------------------
+# Batched row top-k (the packed SpAtten decode core's selection)
+# ----------------------------------------------------------------------
+#: A small value set forces heavy ties, signed zeros, and real -inf.
+TIE_VALUES = [-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0]
+
+#: One row: its values, a requested k in [0, n + 2], and a protected
+#: column index (reduced modulo n where used).
+batch_rows = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(TIE_VALUES), min_size=0, max_size=10),
+        st.integers(0, 12),
+        st.integers(0, 9),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def _plane(rows):
+    """Stack rows into a -inf padded plane; also return their lengths."""
+    width = max(1, max(len(values) for values, _, _ in rows))
+    plane = np.full((len(rows), width), -np.inf)
+    for r, (values, _, _) in enumerate(rows):
+        plane[r, : len(values)] = values
+    return plane, [len(values) for values, _, _ in rows]
+
+
+class TestTopkRows:
+    @given(batch_rows)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example([([0.0, -0.0, 0.0, -0.0], 2, 0)])
+    @example([([1.0, 1.0, 1.0], 0, 0), ([], 3, 0), ([-np.inf, 0.5], 2, 0)])
+    def test_matches_topk_indices_per_row(self, rows):
+        plane, lens = _plane(rows)
+        k = np.array([min(want, n) for (_, want, _), n in zip(rows, lens)])
+        mask = topk_rows(plane, k)
+        for r, ((values, _, _), n) in enumerate(zip(rows, lens)):
+            expect = topk_indices(np.array(values), k[r])
+            assert np.array_equal(np.flatnonzero(mask[r, :n]), expect)
+            assert not mask[r, n:].any(), "padding kept"
+
+    @given(batch_rows)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example([([0.5, 0.5, 0.5, 0.5], 2, 3), ([-0.0, 0.0], 0, 1)])
+    def test_forced_column_matches_prune_tokens(self, rows):
+        """Token pruning: the protected column is forced in and counts
+        toward k, which is at least 1 (the core's clip)."""
+        rows = [row for row in rows if row[0]]
+        if not rows:
+            return
+        plane, lens = _plane(rows)
+        protected = [p % n for (_, _, p), n in zip(rows, lens)]
+        forced = np.zeros(plane.shape, dtype=bool)
+        forced[np.arange(len(rows)), protected] = True
+        k = np.array([max(min(want, n), 1)
+                      for (_, want, _), n in zip(rows, lens)])
+        mask = topk_rows(plane, k, forced=forced)
+        for r, ((values, want, _), n) in enumerate(zip(rows, lens)):
+            decision = prune_tokens(
+                np.arange(n), np.array(values), want,
+                protected_ids=[protected[r]],
+            )
+            assert np.array_equal(np.flatnonzero(mask[r, :n]),
+                                  decision.kept_rows)
+
+    @given(batch_rows)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example([([1.0, 0.0, 0.0], 0, 0), ([0.0], 0, 0)])
+    def test_head_variant_clips_to_at_least_one(self, rows):
+        rows = [row for row in rows if row[0]]
+        if not rows:
+            return
+        plane, lens = _plane(rows)
+        k = np.clip([want for _, want, _ in rows], 1, lens)
+        mask = topk_rows(plane, k)
+        for r, ((values, want, _), n) in enumerate(zip(rows, lens)):
+            decision = prune_heads(np.arange(n), np.array(values), want)
+            assert np.array_equal(np.flatnonzero(mask[r, :n]),
+                                  decision.kept_rows)
+
+    def test_broadcasts_k_over_leading_axes(self):
+        plane = np.array([[[3.0, 1.0, 2.0], [0.0, 0.0, 5.0]]])
+        mask = topk_rows(plane, np.array([[2]]))
+        assert mask.tolist() == [[[True, False, True], [True, False, True]]]
