@@ -82,10 +82,11 @@ overhead until asked for.  Both serving subcommands take:
 * ``--prom-out PATH`` — final counter/gauge/histogram state in
   Prometheus text exposition format.
 * ``--profile`` — wall-clock hot-path profile of the packed decode
-  backend, printed after the report: one row per backend stage plus
-  ``unattributed``, the rest of the run's end-to-end wall time, with
-  shares against that wall time (wall time, *not* simulated time;
-  excluded from the deterministic artifacts above).
+  backend, printed after the report: one row per backend stage
+  (``serve-cluster`` adds ``cluster_route``, the router's placement
+  scoring) plus ``unattributed``, the rest of the run's end-to-end
+  wall time, with shares against that wall time (wall time, *not*
+  simulated time; excluded from the deterministic artifacts above).
 * ``--audit-every N`` — run the KV pool's invariant audit every N
   engine steps (fleet-ledger audit in serve-cluster), surfaced as the
   ``repro_pool_audits_total`` counter.

@@ -465,10 +465,14 @@ class ClusterEngine:
         if self._monitor is not None:
             self._update_breaker(available)
         if active:
+            prof = self.telemetry.profiler
+            t0 = prof.start() if prof is not None else 0.0
             try:
                 replica = self.router.choose(request, active)
             except PoolExhausted:
                 replica = None
+            if prof is not None:
+                prof.stop("cluster_route", t0)
         if replica is None:
             return self._handle_unplaced(request, record, available)
         replica.engine.submit(request, record, available_time=available)

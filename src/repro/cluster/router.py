@@ -26,6 +26,12 @@ Three policies, in increasing awareness of what a request will cost:
   large reservation can still beat a free-but-backlogged one (the
   delay projection, not an admit-now bit, decides — empirically this
   wins the TTFT tail; see ``benchmarks/bench_cluster_scaling.py``).
+  The per-request estimates are request-static: each engine caches
+  them under ``(prompt_len, max_new_tokens, resolved schedule)``, and
+  the key holds the resolved schedule rather than the request's own
+  because a degradation-ladder override changes the cost.  Only the
+  prefilling remainder and live sequences' actual KV lengths are
+  recomputed on every backlog read.
 
 This is the ProxyAttn-style observation applied to placement instead
 of kernels: sparsity estimates are cheap enough to drive scheduling

@@ -126,7 +126,11 @@ class LinearQuantizer:
             )
         max_abs = float(np.max(np.abs(x))) if x.size else 0.0
         qmax = 2 ** (self.total_bits - 1) - 1
-        scale = max_abs / qmax if max_abs > 0 else 1.0
+        scale = max_abs / qmax
+        # Zero range, or a subnormal range whose scale underflows to 0:
+        # zero codes at scale 1.0 (as quantize_rows does).
+        if scale == 0.0:
+            scale = 1.0
         codes = np.clip(np.rint(x / scale), -qmax, qmax).astype(np.int32)
         return QuantizedTensor(codes=codes, scale=scale, bits=self.total_bits)
 

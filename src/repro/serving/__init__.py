@@ -230,7 +230,13 @@ package; the engine exposes the hooks it drives:
   (:meth:`~repro.serving.engine.ServingEngine.request_flops_estimate`,
   :meth:`~repro.serving.engine.ServingEngine.outstanding_flops`,
   :meth:`~repro.serving.engine.ServingEngine.outstanding_page_seconds`)
-  are built on.
+  are built on.  Those estimates are request-static: each engine
+  computes them once per ``(prompt_len, max_new_tokens, resolved
+  schedule)`` key, where the resolved schedule (``pruning_of``) stands
+  in for ``request.pruning`` because a degradation-ladder override or
+  the inherited engine default changes what the request costs; only
+  the prefilling remainder and live sequences' actual KV lengths are
+  recomputed on every backlog read.
 * **Sharded ledger accounting** — each replica owns a private
   :class:`KVMemoryPool` shard; :class:`repro.cluster.ShardedKVPool`
   aggregates them under a global page ledger whose ``audit()``

@@ -102,7 +102,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 import numpy as np
 
@@ -199,6 +200,15 @@ class PrefillingSequence(ScheduledSequence):
     state: PrefillState
     #: The request's resolved cascade schedule (``None`` = dense).
     pruning: Optional[PruningConfig] = None
+
+
+class _ShapeEstimate(NamedTuple):
+    """Routing cost estimates of one request shape (see
+    :meth:`ServingEngine.request_flops_estimate`)."""
+
+    decode_tok_flops: float
+    flops: float
+    page_seconds: float
 
 
 @dataclass
@@ -406,6 +416,13 @@ class ServingEngine:
         self._corrupt_seen = 0
         #: Consecutive pressured steps (degradation ladder trigger).
         self._pressure_streak = 0
+        #: Request-static routing estimates, keyed by request shape
+        #: ``(prompt_len, max_new_tokens, resolved schedule)``.  Bounded
+        #: by the number of distinct shapes; the cost model, model
+        #: config and page size never change, so entries never go stale.
+        self._shape_estimates: Dict[
+            Tuple[int, int, Optional[PruningConfig]], _ShapeEstimate
+        ] = {}
 
     @property
     def mode(self) -> str:
@@ -730,32 +747,54 @@ class ServingEngine:
         from :func:`pruned_kv_bounds` and the schedule's smallest
         surviving-head count — an upper estimate that preserves the
         *ordering* between dense and heavily pruned requests, which is
-        all placement needs.
+        all placement needs.  The estimate is request-static: it is
+        computed once per ``(prompt_len, max_new_tokens, resolved
+        schedule)`` shape and read from the engine's cache afterwards.
+        The key holds the *resolved* schedule (:meth:`pruning_of`), not
+        ``request.pruning``, because a degradation-ladder override or
+        :data:`INHERIT_PRUNING` changes what the request will cost.
+        The backlog reads (:meth:`outstanding_flops`,
+        :meth:`outstanding_page_seconds`) still recompute the prefilling
+        remainder and the live sequences' actual KV lengths every call.
         """
-        pruning = self.pruning_of(request)
-        cfg = self.model.config
-        prefill = self.cost.prefill_flops(cfg, request.prompt_len, pruning)
-        return prefill + request.max_new_tokens * self._decode_tok_estimate(
-            pruning, request.prompt_len, request.max_new_tokens
-        )
+        return self._shape_estimate(
+            request.prompt_len, request.max_new_tokens,
+            self.pruning_of(request),
+        ).flops
 
-    def _decode_tok_estimate(
+    def _shape_estimate(
         self,
-        pruning: Optional[PruningConfig],
         prompt_len: int,
         max_new_tokens: int,
-    ) -> float:
-        cfg = self.model.config
-        bounds = pruned_kv_bounds(
-            pruning, cfg.n_layers, prompt_len, max_new_tokens
-        )
-        if pruning is None:
-            heads = cfg.n_heads
-        else:
-            heads = int(min(
-                sched.head_keep_counts(pruning, cfg.n_layers, cfg.n_heads)
-            ))
-        return self.cost.decode_seq_flops(cfg, bounds, heads)
+        pruning: Optional[PruningConfig],
+    ) -> _ShapeEstimate:
+        key = (prompt_len, max_new_tokens, pruning)
+        estimate = self._shape_estimates.get(key)
+        if estimate is None:
+            cfg = self.model.config
+            bounds = pruned_kv_bounds(
+                pruning, cfg.n_layers, prompt_len, max_new_tokens
+            )
+            if pruning is None:
+                heads = cfg.n_heads
+            else:
+                heads = int(min(
+                    sched.head_keep_counts(pruning, cfg.n_layers, cfg.n_heads)
+                ))
+            decode_tok = self.cost.decode_seq_flops(cfg, bounds, heads)
+            flops = (
+                self.cost.prefill_flops(cfg, prompt_len, pruning)
+                + max_new_tokens * decode_tok
+            )
+            need = self.pool.reservation_pages(
+                prompt_len, max_new_tokens, pruning
+            )
+            estimate = _ShapeEstimate(
+                decode_tok, flops,
+                need * (flops / self.cost.flops_per_second),
+            )
+            self._shape_estimates[key] = estimate
+        return estimate
 
     def outstanding_flops(self) -> float:
         """Estimated arithmetic still owed to every in-flight request.
@@ -779,9 +818,9 @@ class ServingEngine:
                     cfg, state.prompt_len, state.n_committed,
                     state.prompt_len, seq.pruning,
                 )
-            total += seq.request.max_new_tokens * self._decode_tok_estimate(
-                seq.pruning, state.prompt_len, seq.request.max_new_tokens
-            )
+            total += seq.request.max_new_tokens * self._shape_estimate(
+                state.prompt_len, seq.request.max_new_tokens, seq.pruning
+            ).decode_tok_flops
         for seq in self.live:
             remaining = seq.request.max_new_tokens - seq.record.n_generated
             total += remaining * self.cost.decode_seq_flops(
@@ -817,10 +856,10 @@ class ServingEngine:
                     state.prompt_len, seq.pruning,
                 )
             remaining += (
-                seq.request.max_new_tokens * self._decode_tok_estimate(
-                    seq.pruning, state.prompt_len,
-                    seq.request.max_new_tokens,
-                )
+                seq.request.max_new_tokens * self._shape_estimate(
+                    state.prompt_len, seq.request.max_new_tokens,
+                    seq.pruning,
+                ).decode_tok_flops
             )
             total += (
                 self.pool.reserved_pages_of(seq.seq_id) * remaining / rate
@@ -838,14 +877,11 @@ class ServingEngine:
         return total
 
     def _request_page_seconds(self, request: Request) -> float:
-        pruning = self.pruning_of(request)
-        need = self.pool.reservation_pages(
-            request.prompt_len, request.max_new_tokens, pruning
-        )
-        service_s = (
-            self.request_flops_estimate(request) / self.cost.flops_per_second
-        )
-        return need * service_s
+        """Reservation pages x service time of one request (cached)."""
+        return self._shape_estimate(
+            request.prompt_len, request.max_new_tokens,
+            self.pruning_of(request),
+        ).page_seconds
 
     # ------------------------------------------------------------------
     # Scheduling phases

@@ -6,7 +6,8 @@ model answers "what would this schedule cost on modeled hardware" —
 it cannot answer "where does the *real* Python/BLAS time go in the
 packed decode hot path".  :class:`HotPathProfiler` measures that with
 ``time.perf_counter`` around the
-:class:`~repro.nn.batched_attention.PackedDecodeBackend` stages:
+:class:`~repro.nn.batched_attention.PackedDecodeBackend` stages and
+the cluster router:
 
 * ``decode_qkv_proj`` — the fused ``[d,3d]`` projection, in whichever
   GEMM kernel the numerics tier runs (the ``[B,1,d]`` gufunc under
@@ -18,7 +19,10 @@ packed decode hot path".  :class:`HotPathProfiler` measures that with
   attention, importance);
 * ``decode_output_fc`` — the fused output projection;
 * ``decode_fallback`` — opt-out executors' ``run_layer`` rows;
-* ``prefill_chunk_proj`` — the fused chunked-prefill projections.
+* ``prefill_chunk_proj`` — the fused chunked-prefill projections;
+* ``cluster_route`` — :meth:`ClusterRouter.choose
+  <repro.cluster.router.ClusterRouter.choose>` inside the cluster
+  engine: placement scoring, backlog reads included.
 
 Shares are taken against end-to-end wall time when the caller wraps the
 run in :meth:`HotPathProfiler.wall_clock` (``repro serve --profile``
@@ -134,7 +138,8 @@ class HotPathProfiler:
                       f"{per_call:.1f}", f"{share:.1%}")
         t.add_note(
             "real time.perf_counter seconds around PackedDecodeBackend "
-            "stages — separate from the simulated serving clock"
+            "and cluster-router stages — separate from the simulated "
+            "serving clock"
         )
         if self._wall is not None:
             t.add_note(

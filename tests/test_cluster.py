@@ -13,13 +13,17 @@ from repro.cluster import (
     ShardedKVPool,
 )
 from repro.config import GPT2_SMALL, PruningConfig
+from repro.core.schedule import head_keep_counts
 from repro.serving import (
+    CostModel,
     KVMemoryPool,
     PoolExhausted,
     Request,
     RequestStatus,
     ServingEngine,
+    pruned_kv_bounds,
 )
+from repro.telemetry import Telemetry
 from repro.workloads import (
     TrafficClass,
     accuracy_scale_config,
@@ -298,6 +302,25 @@ class TestClusterRouter:
         busy_key = router._pruning_aware_key(
             dense, busy, busy.engine.placement_pages_estimate(dense))
         assert busy_key[0] > dense_key[0]
+
+    def test_ladder_override_is_part_of_the_estimate_key(self, cluster_setup):
+        """A cached estimate follows the resolved schedule, not the id."""
+        config, replicas = self.make_replicas(cluster_setup, pages=(64, 64))
+        engine, fresh = replicas[0].engine, replicas[1].engine
+        request = self.request(config, rid=7, prompt_len=40, max_new=20,
+                               pruning=PRUNING)
+        record = engine.submit(request)
+        before = (engine.request_flops_estimate(request),
+                  engine._request_page_seconds(request))
+        record.pruning_override = AGGRESSIVE
+        after = (engine.request_flops_estimate(request),
+                 engine._request_page_seconds(request))
+        overridden = self.request(config, rid=8, prompt_len=40, max_new=20,
+                                  pruning=AGGRESSIVE)
+        assert after != before
+        assert after[0] < before[0] and after[1] < before[1]
+        assert after == (fresh.request_flops_estimate(overridden),
+                         fresh._request_page_seconds(overridden))
 
 
 class TestClusterEngine:
@@ -598,6 +621,64 @@ class TestClusterEngine:
         ) < shard.reservation_pages(
             PROMPT_LEN, 4, engine.pruning_of(forced_dense)
         )
+
+    def test_routing_estimates_are_request_static(
+        self, cluster_setup, monkeypatch
+    ):
+        """Warm estimates are bit-identical; one computation per shape."""
+        config, model, corpus = cluster_setup
+        calls = []
+        original = CostModel.prefill_flops
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CostModel, "prefill_flops", counting)
+        requests = skewed_requests(config, corpus, n=24, rate=1500.0)
+        cluster = ClusterEngine(
+            model, make_sharded(config, total_pages=96), pruning=PRUNING,
+            policy="pruning_aware", prefill_chunk=8,
+            telemetry=Telemetry(trace=False, metrics=True),
+        )
+        stats = cluster.run(requests)
+        assert stats.fleet.n_requests == len(requests)
+        engines = [replica.engine for replica in cluster.replicas]
+        shapes = {
+            (r.prompt_len, r.max_new_tokens, engines[0].pruning_of(r))
+            for r in requests
+        }
+        for engine in engines:
+            assert len(engine._shape_estimates) <= len(shapes)
+        # At most one schedule replay per shape per engine: the router
+        # and the per-step metrics sample read the backlog far more
+        # often than that, so a per-read recomputation fails here.
+        assert len(calls) <= len(engines) * len(shapes)
+
+        fresh = ClusterEngine(
+            model, make_sharded(config, total_pages=96), pruning=PRUNING,
+        ).replicas[0].engine
+        cfg = model.config
+        for request in requests:
+            pruning = fresh.pruning_of(request)
+            heads = cfg.n_heads if pruning is None else int(min(
+                head_keep_counts(pruning, cfg.n_layers, cfg.n_heads)
+            ))
+            bounds = pruned_kv_bounds(pruning, cfg.n_layers,
+                                      request.prompt_len,
+                                      request.max_new_tokens)
+            reference = (
+                original(fresh.cost, cfg, request.prompt_len, pruning)
+                + request.max_new_tokens
+                * fresh.cost.decode_seq_flops(cfg, bounds, heads)
+            )
+            fresh_flops = fresh.request_flops_estimate(request)
+            assert fresh_flops.hex() == reference.hex()
+            for engine in engines:
+                assert engine.request_flops_estimate(request).hex() == \
+                    fresh_flops.hex()
+                assert engine._request_page_seconds(request).hex() == \
+                    fresh._request_page_seconds(request).hex()
 
     def test_cluster_stats_json_roundtrip(self, cluster_setup):
         config, model, corpus = cluster_setup

@@ -481,6 +481,15 @@ class TestProfiler:
         assert "unattributed" in out
         assert "end-to-end wall time" in out
 
+    def test_serve_cluster_profile_times_routing(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve-cluster", "--requests", "4", "--layers", "1",
+                     "--policy", "pruning_aware", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "cluster_route" in out
+        assert "unattributed" in out
+
 
 # ----------------------------------------------------------------------
 # trace-report rendering
