@@ -48,6 +48,29 @@ python -m repro.cli slo-report \
     --out benchmarks/results/telemetry/slo_report.json \
     | tee benchmarks/results/telemetry/slo_report.txt
 
+# Chaos telemetry smoke: a traced 2-replica serve-cluster run whose
+# request tracks reach every lifecycle transition — spans closed as
+# admitted / promoted / finished / preempted / quarantined (a live
+# sequence) / drained / failed, and the submitted, admitted, promoted,
+# finished, preempted, quarantined, requeued, shed (ladder and
+# deadline) and repruned instants.  Same seed, same bytes: the
+# committed trace, Prometheus text, stats JSON and slo-report are the
+# golden for any refactor of the lifecycle emitters.
+python -m repro.cli serve-cluster --traffic uniform --mode spatten \
+    --requests 32 --rate 100 --layers 2 --pool-kib 256 --priorities 3 \
+    --max-new 48 96 --admission optimistic --headroom-pages 0 \
+    --fail-at 0.1:0 --recover-at 0.2:0 --deadline-ms 40 \
+    --chaos-seed 1 --chaos-profile heavy --audit-every 4 \
+    --slo all:ttft:p50:40 --slo 0:e2e:p50:400 \
+    --trace-out benchmarks/results/telemetry/chaos_trace.json \
+    --prom-out benchmarks/results/telemetry/chaos_metrics.prom \
+    --stats-json benchmarks/results/telemetry/chaos_stats.json
+python -m repro.cli slo-report \
+    benchmarks/results/telemetry/chaos_trace.json \
+    --slo all:ttft:p50:40 --slo 0:e2e:p50:400 \
+    --out benchmarks/results/telemetry/chaos_slo_report.json \
+    | tee benchmarks/results/telemetry/chaos_slo_report.txt
+
 # Perf-regression gate: judge each smoke bench's newest history record
 # (appended by the smoke run above) against the median of its earlier
 # ones; noise-aware thresholds, exit 1 on regression.
