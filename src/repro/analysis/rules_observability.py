@@ -17,6 +17,11 @@ a same-class helper it (transitively) calls.  The record's own
 ``reset_for_*`` methods are exempt: they are the state transition, not
 the scheduler path that observed it.
 
+In the serving engine every transition funnels into one emitter,
+``ServingEngine._lifecycle``, which closes whatever phase the record
+shows open; the rule still guards the call sites (``_retire``,
+``_fail_request``, ``_requeue``) and the cluster's own paths.
+
 A genuinely span-free transition (e.g. failing a request that never
 reached any replica queue, so no span is open) is sanctioned with a
 standard suppression on the mutating line::

@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..eval.reporting import Table
+from ..serving.request import LIFECYCLE_PHASES
 from .timeline import (
     RequestTimeline,
     timelines_from_events,
@@ -101,7 +102,7 @@ _DISRUPTION_DISCARD = {
     "drained": "drain_discard",
 }
 
-_PHASES = ("queued", "prefill", "decode", "offline")
+_PHASES = LIFECYCLE_PHASES + ("offline",)
 
 
 @dataclass

@@ -31,10 +31,15 @@ never swallow one.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from ..serving.request import (
+    LIFECYCLE_PHASES,
+    REQUEST_TRACK_RE,
+    TERMINAL_INSTANTS,
+)
 
 __all__ = [
     "SNAP_EPS_US",
@@ -49,15 +54,6 @@ __all__ = [
 #: most a few ulps of a <1e7 us timestamp, ~1e-8 us) and far below any
 #: real scheduling gap the simulated clock produces (>= microseconds).
 SNAP_EPS_US = Fraction(1, 1000)
-
-#: Request tracks are named ``req <id>`` by the engines.
-_TRACK_RE = re.compile(r"^req (\d+)$")
-
-#: Lifecycle phase spans the engines emit on request tracks.
-PHASES = ("queued", "prefill", "decode")
-
-#: Instants that terminate a request's timeline.
-_TERMINALS = ("finished", "shed", "route_failed")
 
 
 @dataclass
@@ -218,7 +214,7 @@ def _build_timelines(rows) -> Dict[int, RequestTimeline]:
         return timelines[rid]
 
     for kind, name, start, end, process, track, args in rows:
-        match = _TRACK_RE.match(track)
+        match = REQUEST_TRACK_RE.match(track)
         if match is None:
             # Fleet router instants carry the request id in their args.
             if kind == "instant" and name == "route_failed" \
@@ -233,7 +229,7 @@ def _build_timelines(rows) -> Dict[int, RequestTimeline]:
                 timeline(int(args["request_id"])).n_route_retries += 1
             continue
         tl = timeline(int(match.group(1)))
-        if kind == "span" and name in PHASES:
+        if kind == "span" and name in LIFECYCLE_PHASES:
             tl.spans.append(PhaseSpan(
                 name=name, start_us=start, end_us=end,
                 outcome=str(args.get("outcome", "")), process=process,
@@ -250,7 +246,7 @@ def _build_timelines(rows) -> Dict[int, RequestTimeline]:
                     tl.arrival_us = _us(float(args["arrival_time"]))
             elif name == "promoted":
                 tl.promoted_us.append(start)
-            elif name in _TERMINALS:
+            elif name in TERMINAL_INSTANTS:
                 tl.terminal = name
                 tl.end_us = start
                 if name == "finished":

@@ -337,8 +337,16 @@ independent sinks:
 * **Tracing** — a :class:`~repro.telemetry.Tracer` records the full
   request lifecycle on the *simulated* clock: a ``queued`` span from
   submission to admission, a ``prefill`` span per chunked prefill, a
-  ``decode`` span to retirement, with ``preempted`` / ``requeued`` /
-  ``drained`` outcomes when those paths fire.  Pool transactions
+  ``decode`` span to retirement, with ``preempted`` / ``quarantined``
+  / ``drained`` / ``failed`` outcomes when those paths fire.  Every
+  request-track event comes from one emitter,
+  ``ServingEngine._lifecycle``, driven by the
+  :data:`~repro.serving.engine.LIFECYCLE_EVENTS` table (each event's
+  closing outcome, instants and counters); it reads the open phase
+  from the record, so no transition can forget to close it.  The
+  phase names, terminal instants and ``req <id>`` track format are
+  declared once in :mod:`repro.serving.request` and shared with
+  :mod:`repro.insight.timeline`.  Pool transactions
   (admit / sync / release / preempt-release), router decisions with
   per-replica scores, and sharded-ledger drain/fail transitions land
   on their own tracks.  :func:`~repro.telemetry.chrome_trace_json`
@@ -476,7 +484,10 @@ hard gate ahead of the test suite, archiving the JSON report (CLI
   path that ends a request's lifecycle phase (requeues a record or
   marks it FINISHED/FAILED) must emit a lifecycle span, directly or
   via a same-class helper — otherwise the request's timeline has an
-  untiled hole latency attribution cannot explain.
+  untiled hole latency attribution cannot explain.  In the serving
+  engine every such path (``_retire``, ``_fail_request`` and
+  ``_requeue``, which preempt, quarantine and drain share) reaches
+  the one lifecycle emitter.
 
 Suppressions are explicit and always carry a reason::
 

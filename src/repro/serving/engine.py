@@ -133,11 +133,14 @@ from .request import (
     RequestQueue,
     RequestRecord,
     RequestStatus,
+    request_track,
 )
 from .stats import CostModel, ServingStats, SimulatedClock
 
 __all__ = [
     "ADMISSION_MODES",
+    "LIFECYCLE_EVENTS",
+    "LifecycleTransition",
     "LiveSequence",
     "PrefillingSequence",
     "ScheduledSequence",
@@ -175,6 +178,15 @@ class ScheduledSequence:
     def seq_id(self) -> int:
         return self.request.request_id
 
+    @property
+    def recompute_work(self) -> int:
+        """Tokens a restart from scratch discards: the prompt chunks
+        committed so far while prefilling, the whole prompt plus every
+        generated token once live."""
+        if isinstance(self, PrefillingSequence):
+            return self.state.n_committed
+        return self.request.prompt_len + self.record.n_generated
+
 
 @dataclass
 class LiveSequence(ScheduledSequence):
@@ -200,6 +212,64 @@ class PrefillingSequence(ScheduledSequence):
     state: PrefillState
     #: The request's resolved cascade schedule (``None`` = dense).
     pruning: Optional[PruningConfig] = None
+
+
+class LifecycleTransition(NamedTuple):
+    """How one request-lifecycle event shows up in the telemetry."""
+
+    #: Outcome the request's open phase span closes with (``None``: the
+    #: phase stays open).
+    closes: Optional[str]
+    #: Instants emitted on the request track, in order; the event's own
+    #: instant carries the event args.
+    instants: Tuple[str, ...]
+    #: Counters bumped, in order: ``(name, event args used as labels)``.
+    counters: Tuple[Tuple[str, Tuple[str, ...]], ...] = ()
+    #: Whether the request (re-)enters this engine's queue here.
+    enqueues: bool = False
+    #: Whether the request stops holding pool pages here.
+    releases: bool = False
+
+
+#: Every request-lifecycle transition :meth:`ServingEngine._lifecycle`
+#: emits, keyed by event name.
+LIFECYCLE_EVENTS: Dict[str, LifecycleTransition] = {
+    "submitted": LifecycleTransition(
+        None, ("submitted",),
+        (("repro_requests_submitted_total", ()),), enqueues=True,
+    ),
+    "admitted": LifecycleTransition(
+        "admitted", ("admitted",), (("repro_requests_admitted_total", ()),),
+    ),
+    "promoted": LifecycleTransition(
+        "promoted", ("promoted",), (("repro_tokens_total", ()),),
+    ),
+    "token": LifecycleTransition(None, (), (("repro_tokens_total", ()),)),
+    "finished": LifecycleTransition(
+        "finished", ("finished",),
+        (("repro_requests_finished_total", ()),), releases=True,
+    ),
+    "preempted": LifecycleTransition(
+        "preempted", ("preempted", "requeued"),
+        (("repro_preemptions_total", ()),), enqueues=True, releases=True,
+    ),
+    "quarantined": LifecycleTransition(
+        "quarantined", ("quarantined", "requeued"),
+        (("repro_corruptions_total", ()),), enqueues=True, releases=True,
+    ),
+    "repruned": LifecycleTransition(
+        None, ("repruned",), (("repro_requests_repruned_total", ()),),
+    ),
+    "shed": LifecycleTransition(
+        "failed", ("shed",),
+        (
+            ("repro_requests_shed_total", ("reason",)),
+            ("repro_requests_failed_total", ()),
+        ),
+        releases=True,
+    ),
+    "drained": LifecycleTransition("drained", (), releases=True),
+}
 
 
 class _ShapeEstimate(NamedTuple):
@@ -589,22 +659,13 @@ class ServingEngine:
             else max(float(available_time), request.arrival_time)
         )
         self._pending.append(_PendingArrival(available, request))
-        tel = self.telemetry
-        if tel.active:
-            self._queue_entered[request.request_id] = available
-            if tel.tracer is not None:
-                tel.tracer.instant(
-                    "submitted", available, self.name,
-                    f"req {request.request_id}",
-                    prompt_len=request.prompt_len,
-                    max_new_tokens=request.max_new_tokens,
-                    priority=request.priority,
-                    arrival_time=request.arrival_time,
-                )
-            if tel.metrics is not None:
-                tel.metrics.counter(
-                    "repro_requests_submitted_total", engine=self.name
-                ).inc()
+        self._lifecycle(
+            "submitted", record, available,
+            prompt_len=request.prompt_len,
+            max_new_tokens=request.max_new_tokens,
+            priority=request.priority,
+            arrival_time=request.arrival_time,
+        )
         return record
 
     def step(self, horizon: Optional[float] = None) -> float:
@@ -660,27 +721,17 @@ class ServingEngine:
         replica commits the same token stream it would have here.
         Requests already finished on this engine stay in its report.
         """
-        requeued: List[Tuple[Request, RequestRecord]] = []
-        for entry in self._pending:
-            self._note_drained(self._records[entry.request.request_id])
-            requeued.append((entry.request, self._records.pop(
-                entry.request.request_id)))
+        now = self.now
+        waiting = [entry.request for entry in self._pending]
         self._pending = []
-        for request in self.queue.drain():
-            self._note_drained(self._records[request.request_id])
-            requeued.append((request, self._records.pop(request.request_id)))
-        for seq in self.prefilling:
-            self._note_drained(seq.record)
-            self.pool.release(seq.seq_id)
-            seq.record.reset_for_requeue()
+        requeued: List[Tuple[Request, RequestRecord]] = []
+        for request in waiting + self.queue.drain():
+            record = self._records.pop(request.request_id)
+            self._lifecycle("drained", record, now)
+            requeued.append((request, record))
+        for seq in self.prefilling + self.live:
+            self._requeue(seq, "drained", now)
             requeued.append((seq.request, self._records.pop(seq.seq_id)))
-        self.prefilling = []
-        for seq in self.live:
-            self._note_drained(seq.record)
-            self.pool.release(seq.seq_id)
-            seq.record.reset_for_requeue()
-            requeued.append((seq.request, self._records.pop(seq.seq_id)))
-        self.live = []
         return requeued
 
     def finish(self) -> ServingStats:
@@ -953,9 +1004,9 @@ class ServingEngine:
         """
         pruning = self.pruning_of(request)
         self._pool_admit(request)
+        self._lifecycle("admitted", record, clock.now)
         record.status = RequestStatus.RUNNING
         record.admit_time = clock.now
-        self._note_admitted(request, clock.now)
         executor = self._make_executor(pruning)
         state = self.model.prefill_begin(request.prompt_ids, executor)
         self.prefilling.append(
@@ -975,9 +1026,9 @@ class ServingEngine:
         """
         pruning = self.pruning_of(request)
         self._pool_admit(request)
+        self._lifecycle("admitted", record, clock.now)
         record.status = RequestStatus.RUNNING
         record.admit_time = clock.now
-        self._note_admitted(request, clock.now)
         executor = self._make_executor(pruning)
         logits = self.model.prefill(request.prompt_ids, executor)
         clock.advance(
@@ -988,10 +1039,10 @@ class ServingEngine:
         self._sync_pool(request.request_id, executor)
         self.pool.finish_prefill(request.request_id)
         first = self.sampler(logits)
+        self._lifecycle("promoted", record, clock.now)
         record.token_ids.append(first)
         record.preempt_protected = False
         record.first_token_time = clock.now
-        self._note_promoted(record, clock.now)
         seq = LiveSequence(
             record=record,
             executor=executor,
@@ -1074,9 +1125,9 @@ class ServingEngine:
                 continue
             self.pool.finish_prefill(seq.seq_id)
             first = self.sampler(logits)
+            self._lifecycle("promoted", seq.record, clock.now)
             seq.record.token_ids.append(first)
             seq.record.first_token_time = clock.now
-            self._note_promoted(seq.record, clock.now)
             live = LiveSequence(
                 record=seq.record,
                 executor=seq.state.executor,
@@ -1122,8 +1173,8 @@ class ServingEngine:
         for row, seq in enumerate(batch):
             self._sync_pool(seq.seq_id, seq.executor)
             token = self.sampler(logits[row])
+            self._lifecycle("token", seq.record, clock.now)
             seq.record.token_ids.append(token)
-            self._count_token()
             seq.record.preempt_protected = False
             seq.record.token_latencies.append(
                 clock.now - seq.last_commit_time
@@ -1196,30 +1247,15 @@ class ServingEngine:
         if self.pool.n_corrupt_events == self._corrupt_seen:
             return
         report = self.pool.verify_checksums()
-        for seq in [s for s in self.live if s.seq_id in report]:
-            self.live.remove(seq)
-            work = seq.request.prompt_len + seq.record.n_generated
-            self._quarantine(seq, work, report[seq.seq_id], clock)
-        for seq in [s for s in self.prefilling if s.seq_id in report]:
-            self.prefilling.remove(seq)
-            self._quarantine(seq, seq.state.n_committed,
-                             report[seq.seq_id], clock)
+        residents = [*self.live, *self.prefilling]
+        for seq in [s for s in residents if s.seq_id in report]:
+            self._requeue(
+                seq, "quarantined", clock.now,
+                corrupted=[list(p) for p in report[seq.seq_id]],
+            )
         self._corrupt_seen = self.pool.n_corrupt_events
         if report:
             self.pool.audit()
-
-    def _quarantine(
-        self,
-        seq: ScheduledSequence,
-        work: int,
-        bad_pages: List[Tuple[int, int]],
-        clock: SimulatedClock,
-    ) -> None:
-        pages = self.pool.quarantine_release(seq.seq_id)
-        self._note_quarantined(seq.record, clock.now, pages, work,
-                               bad_pages)
-        seq.record.reset_for_corruption(recompute_tokens=work)
-        self.queue.push(seq.request)
 
     def _expire_deadlines(self, clock: SimulatedClock) -> None:
         """Fail queued requests whose admission deadline has passed."""
@@ -1290,16 +1326,22 @@ class ServingEngine:
         )
         if after >= billed:
             return
+        self._lifecycle(
+            "repruned", record, clock.now,
+            pages_before=billed, pages_after=after,
+        )
         record.pruning_override = escalated
         record.degraded = True
-        self._note_repruned(record, clock.now, billed, after)
 
     def _fail_request(
         self, record: RequestRecord, reason: str, now: float
     ) -> None:
+        self._lifecycle(
+            "shed", record, now, reason=reason,
+            priority=record.request.priority,
+        )
         record.status = RequestStatus.FAILED
         record.failure = reason
-        self._note_shed(record, now, reason)
 
     # ------------------------------------------------------------------
     # Preemption (optimistic admission's run-time safety)
@@ -1369,7 +1411,7 @@ class ServingEngine:
                     "resident sequence is protected by the livelock "
                     "guard or running alone"
                 )
-            self._preempt(victim, clock)
+            self._requeue(victim, "preempted", clock.now)
             projections.pop(victim.seq_id, None)
             n_preempted += 1
         if n_preempted:
@@ -1397,39 +1439,66 @@ class ServingEngine:
             return None
         return next(s for s in residents if s.seq_id == chosen.seq_id)
 
-    def _preempt(self, seq: ScheduledSequence, clock: SimulatedClock) -> None:
-        """Evict one resident sequence and requeue it for recompute."""
+    def _requeue(
+        self, seq: ScheduledSequence, cause: str, now: float, **args
+    ) -> None:
+        """Evict one resident sequence for a restart from scratch.
+
+        ``cause`` is ``"preempted"``, ``"quarantined"`` or ``"drained"``.
+        The sequence leaves its set, its pages go back through the
+        cause's pool method, the lifecycle transition is emitted and
+        the record resets.  Preempted and quarantined requests rejoin
+        this engine's queue; :meth:`drain` hands drained ones back.
+        Greedy decoding replays the identical stream, so a restart
+        costs latency, never tokens.
+        """
         if isinstance(seq, LiveSequence):
             self.live.remove(seq)
-            work = seq.request.prompt_len + seq.record.n_generated
         else:
             self.prefilling.remove(seq)
-            work = seq.state.n_committed
-        pages = self.pool.preempt_release(seq.seq_id)
-        self._note_preempted(seq.record, clock.now, pages, work)
-        seq.record.reset_for_preempt(recompute_tokens=work)
+        record = seq.record
+        if cause == "drained":
+            # A drain closes the span before the pool logs the release.
+            self._lifecycle(cause, record, now)
+            self.pool.release(seq.seq_id)
+            record.reset_for_requeue()
+            return
+        work = seq.recompute_work
+        if cause == "preempted":
+            pages = self.pool.preempt_release(seq.seq_id)
+            args["policy"] = self.preemption.policy
+        else:
+            pages = self.pool.quarantine_release(seq.seq_id)
+        self._lifecycle(
+            cause, record, now, pages_freed=pages, work_tokens=work, **args
+        )
+        if cause == "preempted":
+            record.reset_for_preempt(recompute_tokens=work)
+            self.preemption_log.append(PreemptionEvent(
+                time=now,
+                request_id=seq.seq_id,
+                pages_freed=pages,
+                work_tokens=work,
+                policy=self.preemption.policy,
+            ))
+        else:
+            record.reset_for_corruption(recompute_tokens=work)
         self.queue.push(seq.request)
-        self.preemption_log.append(PreemptionEvent(
-            time=clock.now,
-            request_id=seq.seq_id,
-            pages_freed=pages,
-            work_tokens=work,
-            policy=self.preemption.policy,
-        ))
 
     def _retire(self, seq: LiveSequence, clock: SimulatedClock) -> None:
-        seq.record.status = RequestStatus.FINISHED
-        seq.record.finish_time = clock.now
         self.pool.note_reclaimed_tokens(seq.executor.evicted_kv_tokens)
         self.pool.release(seq.seq_id)
-        self._note_retired(seq.record, clock.now)
+        record = seq.record
+        self._lifecycle(
+            "finished", record, clock.now, n_tokens=record.n_generated,
+            n_preemptions=record.n_preemptions,
+        )
+        record.status = RequestStatus.FINISHED
+        record.finish_time = clock.now
 
     # ------------------------------------------------------------------
     # Telemetry emission (every site guards on the null sink first)
     # ------------------------------------------------------------------
-    def _track(self, request_id: int) -> str:
-        return f"req {request_id}"
-
     def pool_event(self, kind: str, seq_id: int, **info) -> None:
         """Observer hook the pool calls on ledger mutations.
 
@@ -1448,221 +1517,66 @@ class ServingEngine:
                 "repro_pool_events_total", engine=self.name, kind=kind
             ).inc()
 
-    def _note_admitted(self, request: Request, now: float) -> None:
+    def _lifecycle(
+        self, event: str, record: RequestRecord, now: float, **args
+    ) -> None:
+        """Emit one request-lifecycle transition (:data:`LIFECYCLE_EVENTS`).
+
+        The one emission site for request tracks.  Call it *before* the
+        record mutation it reports: the record still shows the phase
+        the event closes — ``decode`` once a first token exists, else
+        ``prefill`` once admitted, else ``queued`` since the request
+        last entered this engine's queue.  A pending request whose
+        availability lies in the simulated future never entered the
+        queue, so a drain closes no span for it.
+        """
         tel = self.telemetry
         if not tel.active:
             return
+        step = LIFECYCLE_EVENTS[event]
+        request = record.request
         rid = request.request_id
-        bound = self.pool.reservation_pages(
-            request.prompt_len, request.max_new_tokens,
-            self.pruning_of(request),
-        )
-        self._bound_pages[rid] = bound
-        entered = self._queue_entered.pop(rid, now)
-        if tel.tracer is not None:
-            track = self._track(rid)
-            tel.tracer.span(
-                "queued", entered, now, self.name, track,
-                outcome="admitted",
+        tracer = tel.tracer
+        if event == "admitted":
+            # The worst-case bound is the pruning-savings gauge's
+            # minuend for as long as the sequence stays resident.
+            bound = self.pool.reservation_pages(
+                request.prompt_len, request.max_new_tokens,
+                self.pruning_of(request),
             )
-            tel.tracer.instant(
-                "admitted", now, self.name, track,
+            self._bound_pages[rid] = bound
+            args = dict(
                 bound_pages=bound, admission=self.admission,
                 billed_pages=self.pool.reserved_pages_of(rid),
             )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_admitted_total", engine=self.name
-            ).inc()
-
-    def _note_promoted(self, record: RequestRecord, now: float) -> None:
-        """The sequence's final prefill chunk committed its first token."""
-        self._count_token()
-        tel = self.telemetry
-        if tel.tracer is not None:
-            track = self._track(record.request.request_id)
-            tel.tracer.span(
-                "prefill", record.admit_time, now, self.name, track,
-                outcome="promoted",
-            )
-            tel.tracer.instant("promoted", now, self.name, track)
-
-    def _count_token(self) -> None:
-        tel = self.telemetry
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_tokens_total", engine=self.name
-            ).inc()
-
-    def _note_retired(self, record: RequestRecord, now: float) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        self._queue_entered.pop(rid, None)
-        if tel.tracer is not None:
-            track = self._track(rid)
-            tel.tracer.span(
-                "decode", record.first_token_time, now, self.name, track,
-                outcome="finished",
-            )
-            tel.tracer.instant(
-                "finished", now, self.name, track,
-                n_tokens=record.n_generated,
-                n_preemptions=record.n_preemptions,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_finished_total", engine=self.name
-            ).inc()
-
-    def _note_preempted(
-        self, record: RequestRecord, now: float, pages: int, work: int
-    ) -> None:
-        """Called *before* the record resets (the span needs its times)."""
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        self._queue_entered[rid] = now  # back to the queue from here
-        if tel.tracer is not None:
-            track = self._track(rid)
+        elif step.releases:
+            self._bound_pages.pop(rid, None)
+        phase = start = None
+        if step.closes is not None:
+            phase, start = "queued", self._queue_entered.pop(rid, None)
             if record.first_token_time is not None:
-                tel.tracer.span(
-                    "decode", record.first_token_time, now, self.name,
-                    track, outcome="preempted",
-                )
+                phase, start = "decode", record.first_token_time
             elif record.admit_time is not None:
-                tel.tracer.span(
-                    "prefill", record.admit_time, now, self.name, track,
-                    outcome="preempted",
+                phase, start = "prefill", record.admit_time
+        if step.enqueues:
+            self._queue_entered[rid] = now
+        if tracer is not None and (start is not None or step.instants):
+            track = request_track(rid)
+            if start is not None and start <= now:
+                tracer.span(
+                    phase, start, now, self.name, track,
+                    outcome=step.closes,
                 )
-            tel.tracer.instant(
-                "preempted", now, self.name, track, pages_freed=pages,
-                work_tokens=work, policy=self.preemption.policy,
-            )
-            tel.tracer.instant("requeued", now, self.name, track)
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_preemptions_total", engine=self.name
-            ).inc()
-
-    def _note_quarantined(
-        self,
-        record: RequestRecord,
-        now: float,
-        pages: int,
-        work: int,
-        bad_pages: List[Tuple[int, int]],
-    ) -> None:
-        """Called *before* the record resets for its recompute."""
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        self._queue_entered[rid] = now  # back to the queue from here
-        if tel.tracer is not None:
-            track = self._track(rid)
-            if record.first_token_time is not None:
-                tel.tracer.span(
-                    "decode", record.first_token_time, now, self.name,
-                    track, outcome="quarantined",
+            for name in step.instants:
+                tracer.instant(
+                    name, now, self.name, track,
+                    **(args if name == event else {}),
                 )
-            elif record.admit_time is not None:
-                tel.tracer.span(
-                    "prefill", record.admit_time, now, self.name, track,
-                    outcome="quarantined",
-                )
-            tel.tracer.instant(
-                "quarantined", now, self.name, track,
-                pages_freed=pages, work_tokens=work,
-                corrupted=[list(p) for p in bad_pages],
-            )
-            tel.tracer.instant("requeued", now, self.name, track)
         if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_corruptions_total", engine=self.name
-            ).inc()
-
-    def _note_shed(
-        self, record: RequestRecord, now: float, reason: str
-    ) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        entered = self._queue_entered.pop(rid, now)
-        if tel.tracer is not None:
-            track = self._track(rid)
-            tel.tracer.span(
-                "queued", entered, now, self.name, track, outcome="failed",
-            )
-            tel.tracer.instant(
-                "shed", now, self.name, track, reason=reason,
-                priority=record.request.priority,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_shed_total", engine=self.name,
-                reason=reason,
-            ).inc()
-            tel.metrics.counter(
-                "repro_requests_failed_total", engine=self.name
-            ).inc()
-
-    def _note_repruned(
-        self, record: RequestRecord, now: float, billed: int, after: int
-    ) -> None:
-        tel = self.telemetry
-        if not tel.active:
-            return
-        if tel.tracer is not None:
-            tel.tracer.instant(
-                "repruned", now, self.name,
-                self._track(record.request.request_id),
-                pages_before=billed, pages_after=after,
-            )
-        if tel.metrics is not None:
-            tel.metrics.counter(
-                "repro_requests_repruned_total", engine=self.name
-            ).inc()
-
-    def _note_drained(self, record: RequestRecord) -> None:
-        """Called *before* the record resets for its requeue."""
-        tel = self.telemetry
-        if not tel.active:
-            return
-        rid = record.request.request_id
-        self._bound_pages.pop(rid, None)
-        entered = self._queue_entered.pop(rid, None)
-        if tel.tracer is None:
-            return
-        now = self.now
-        track = self._track(rid)
-        if record.first_token_time is not None:
-            tel.tracer.span(
-                "decode", record.first_token_time, now, self.name, track,
-                outcome="drained",
-            )
-        elif record.admit_time is not None:
-            tel.tracer.span(
-                "prefill", record.admit_time, now, self.name, track,
-                outcome="drained",
-            )
-        elif entered is not None and entered <= now:
-            # Queued (or already-visible pending) request swept up by a
-            # drain: close its queue wait so the lifecycle tiles the
-            # timeline for latency attribution.  A pending request whose
-            # availability lies in the simulated future never entered
-            # the queue, so it gets no span.
-            tel.tracer.span(
-                "queued", entered, now, self.name, track,
-                outcome="drained",
-            )
+            for name, labels in step.counters:
+                tel.metrics.counter(
+                    name, engine=self.name, **{k: args[k] for k in labels}
+                ).inc()
 
     def _pruning_savings(self) -> int:
         """Pages the cascade schedules have freed vs. their worst case.

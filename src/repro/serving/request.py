@@ -7,12 +7,18 @@ priority values are served first, ties break FIFO on arrival time, and
 requests that are equal on both pop in the order they were pushed
 (a monotonic per-queue counter, so pop order never depends on request
 ids or payload comparison).
+
+The lifecycle vocabulary lives here too, next to :class:`RequestStatus`:
+the phase spans a request's trace track is tiled with, the instants that
+end it, and the track-name format.  The serving engine emits with it and
+:mod:`repro.insight.timeline` parses with it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence
@@ -21,10 +27,14 @@ import numpy as np
 
 __all__ = [
     "INHERIT_PRUNING",
+    "LIFECYCLE_PHASES",
+    "REQUEST_TRACK_RE",
+    "TERMINAL_INSTANTS",
     "RequestStatus",
     "Request",
     "RequestRecord",
     "RequestQueue",
+    "request_track",
 ]
 
 
@@ -59,6 +69,26 @@ class RequestStatus(Enum):
     #: requests keep their record — with no admission timestamps — so
     #: the run's report counts them instead of crashing or dead-looping.
     FAILED = "failed"
+
+
+#: Lifecycle phases, in order: each is one span on the request's track,
+#: closed by whichever transition ends it (with that transition's
+#: outcome), so the spans tile the request's time on a replica.
+LIFECYCLE_PHASES = ("queued", "prefill", "decode")
+
+#: Instants that end a request's timeline: served, failed on a replica
+#: (load shed or deadline), or failed by the fleet router.
+TERMINAL_INSTANTS = ("finished", "shed", "route_failed")
+
+_REQUEST_TRACK_PREFIX = "req "
+
+#: Matches a :func:`request_track` name; group 1 is the request id.
+REQUEST_TRACK_RE = re.compile(rf"^{_REQUEST_TRACK_PREFIX}(\d+)$")
+
+
+def request_track(request_id: int) -> str:
+    """Trace track that carries one request's lifecycle events."""
+    return f"{_REQUEST_TRACK_PREFIX}{request_id}"
 
 
 @dataclass

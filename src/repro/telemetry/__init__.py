@@ -13,7 +13,10 @@ reproducible:
     :class:`Tracer` — span/instant/counter events on the simulated
     timeline.  The serving engine emits each request's lifecycle
     (``queued`` → ``admitted`` → ``prefill`` → ``promoted`` →
-    ``decode`` → ``finished`` / ``preempted`` / ``drained``), the KV
+    ``decode`` → ``finished`` / ``preempted`` / ``quarantined`` /
+    ``drained``, or ``shed`` from the queue) from one emitter driven by
+    its ``LIFECYCLE_EVENTS`` table, on the ``req <id>`` tracks and
+    phase names :mod:`repro.serving.request` declares; the KV
     pool emits alloc/evict/preempt events through its observer hook,
     the cluster router emits per-replica scored decisions, and the
     sharded ledger emits drain/fail transitions.

@@ -23,7 +23,18 @@ import pytest
 from repro.cluster import ClusterEngine, ShardedKVPool
 from repro.config import GPT2_SMALL, PruningConfig
 from repro.faults import FaultEvent, FaultPlan
-from repro.serving import KVMemoryPool, ServingEngine
+from repro.serving import (
+    DegradationPolicy,
+    KVMemoryPool,
+    Request,
+    ServingEngine,
+)
+from repro.serving.engine import LIFECYCLE_EVENTS
+from repro.serving.request import (
+    LIFECYCLE_PHASES,
+    REQUEST_TRACK_RE,
+    TERMINAL_INSTANTS,
+)
 from repro.telemetry import Telemetry, chrome_trace_json
 from repro.insight import (
     CAUSES,
@@ -50,6 +61,23 @@ from repro.workloads import (
 PROMPT_LEN = 24
 PRUNING = PruningConfig(token_keep_final=0.4, head_keep_final=0.75,
                         value_keep=0.9)
+AGGRESSIVE = PruningConfig(token_keep_final=0.3, head_keep_final=0.625,
+                           value_keep=0.9)
+#: The tight-fleet recipes of tests/test_faults.py, by name: cluster
+#: keywords, arrival rate, and whether priorities alternate between
+#: best-effort (1) and interactive (0).  The ladder sheds the
+#: best-effort tier, or (nothing sheddable) reprunes the queue head;
+#: the deadline fails requests still queued after 3 ms.
+TIGHT_RECIPES = {
+    "shed": (dict(degradation=DegradationPolicy(
+        free_page_frac=0.5, sustain_steps=2, shed_priority_floor=1,
+    )), 8000.0, True),
+    "reprune": (dict(degradation=DegradationPolicy(
+        free_page_frac=0.5, sustain_steps=2, shed_priority_floor=2,
+        reprune=AGGRESSIVE,
+    )), 8000.0, True),
+    "deadline": (dict(deadline_s=0.003), 5000.0, False),
+}
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +148,39 @@ def run_chaos_cluster(world, seed, telemetry=None, **kwargs):
     return cluster.run(requests), cluster
 
 
+def run_corrupted_cluster(world, telemetry=None):
+    """Cluster run under an explicit two-strike KV corruption plan."""
+    config, model, corpus = world
+    plan = FaultPlan(n_replicas=2, events=(
+        FaultEvent(0.004, 0, "corrupt", u_seq=0.3),
+        FaultEvent(0.008, 1, "corrupt", u_seq=0.6),
+    ))
+    requests = trace(corpus, n=12, max_new=(8, 16), seed=5)
+    cluster = ClusterEngine(
+        model, make_sharded(config), pruning=PRUNING, prefill_chunk=8,
+        fault_plan=plan, telemetry=telemetry,
+    )
+    return cluster.run(requests), cluster
+
+
+def run_tight_cluster(world, recipe, telemetry=None):
+    """One :data:`TIGHT_RECIPES` run on a 48-page 2-replica fleet."""
+    config, model, corpus = world
+    kwargs, rate, tiered = TIGHT_RECIPES[recipe]
+    requests = trace(corpus, n=12, rate=rate, max_new=(10, 16), seed=5)
+    if tiered:
+        requests = [
+            Request(r.request_id, r.prompt_ids, r.max_new_tokens,
+                    r.arrival_time, priority=r.request_id % 2)
+            for r in requests
+        ]
+    cluster = ClusterEngine(
+        model, make_sharded(config, total_pages=48), policy="least_loaded",
+        telemetry=telemetry, **kwargs,
+    )
+    return cluster.run(requests), cluster
+
+
 def assert_exact(attribution, records=None):
     """Every vector's components and phases sum bit-exactly to its e2e,
     and (when records are given) e2e matches the engine's own record."""
@@ -184,23 +245,29 @@ class TestAttributionExactness:
         assert_exact(attribution, stats.fleet.records)
 
     def test_quarantine_blame_under_corruption_plan(self, world):
-        config, model, corpus = world
         tel = Telemetry()
-        plan = FaultPlan(n_replicas=2, events=(
-            FaultEvent(0.004, 0, "corrupt", u_seq=0.3),
-            FaultEvent(0.008, 1, "corrupt", u_seq=0.6),
-        ))
-        requests = trace(corpus, n=12, max_new=(8, 16), seed=5)
-        cluster = ClusterEngine(
-            model, make_sharded(config), pruning=PRUNING, prefill_chunk=8,
-            fault_plan=plan, telemetry=tel,
-        )
-        stats = cluster.run(requests)
+        stats, _ = run_corrupted_cluster(world, telemetry=tel)
         attribution = TraceAttribution.from_tracer(tel.tracer)
         assert_exact(attribution, stats.fleet.records)
         # Not vacuous: the explicit plan really corrupted pages, and
         # the discarded work shows up as quarantine blame.
         assert total_cause(attribution, "quarantine_discard") > 0
+
+    @pytest.mark.parametrize("recipe, failure", [
+        ("shed", "shed"), ("reprune", None), ("deadline", "deadline"),
+    ])
+    def test_tight_fleet_recipes_sum_exactly(self, world, recipe, failure):
+        tel = Telemetry()
+        stats, _ = run_tight_cluster(world, recipe, telemetry=tel)
+        records = stats.fleet.records
+        attribution = TraceAttribution.from_tracer(tel.tracer)
+        assert len(attribution.vectors) == len(records) == 12
+        assert_exact(attribution, records)
+        # Not vacuous: the recipe's failures (or repruning) really fired.
+        failures = {r.failure for r in records} - {None}
+        assert failures == ({failure} if failure else set())
+        if recipe == "reprune":
+            assert stats.fleet.n_repruned > 0
 
     def test_tracer_and_exported_file_agree_exactly(self, world, tmp_path):
         tel = Telemetry()
@@ -580,6 +647,57 @@ class TestBenchCompareCli:
             cli_main(["bench-compare", "--history", str(history)])
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+# ----------------------------------------------------------------------
+# Lifecycle vocabulary — the engine's event table vs what it emits
+# ----------------------------------------------------------------------
+class TestLifecycleVocabulary:
+    def test_every_table_event_is_emitted(self, world, monkeypatch):
+        """Each event of ``LIFECYCLE_EVENTS`` fires in the recipes above;
+        the request tracks carry exactly the table's instants and span
+        outcomes, and every counter it names is registered — the table
+        and the engine cannot drift apart."""
+        calls = []
+        emit = ServingEngine._lifecycle
+
+        def spy(self, event, record, now, **args):
+            calls.append(event)
+            return emit(self, event, record, now, **args)
+
+        monkeypatch.setattr(ServingEngine, "_lifecycle", spy)
+        runs = [
+            lambda tel: run_preempting_engine(world, 11, telemetry=tel),
+            lambda tel: run_chaos_cluster(world, 5, telemetry=tel),
+            lambda tel: run_corrupted_cluster(world, telemetry=tel),
+        ] + [
+            lambda tel, recipe=recipe: run_tight_cluster(world, recipe, tel)
+            for recipe in TIGHT_RECIPES
+        ]
+        instants, outcomes, counters = set(), set(), set()
+        for run in runs:
+            tel = Telemetry()
+            run(tel)
+            for event in tel.tracer.events:
+                if REQUEST_TRACK_RE.match(event.track) is None:
+                    continue
+                if event.kind == "span":
+                    assert event.name in LIFECYCLE_PHASES
+                    outcomes.add(event.args_dict["outcome"])
+                elif event.kind == "instant":
+                    instants.add(event.name)
+            counters.update(
+                line.split("{")[0]
+                for line in tel.metrics.prometheus_text().splitlines()
+                if line and not line.startswith("#")
+            )
+        assert set(calls) == set(LIFECYCLE_EVENTS)
+        table = LIFECYCLE_EVENTS.values()
+        assert instants == {name for step in table for name in step.instants}
+        assert outcomes == {step.closes for step in table} - {None}
+        for event, step in LIFECYCLE_EVENTS.items():
+            assert {name for name, _ in step.counters} <= counters, event
+        assert {"finished", "shed"} <= set(TERMINAL_INSTANTS) & instants
 
 
 # ----------------------------------------------------------------------
